@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,7 +42,7 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
 
 def _limits(args) -> Limits | None:
     if getattr(args, "limit_pairs", None) is not None:
-        return Limits(max_pairs=args.limit_pairs)
+        return replace(Limits.from_env(), max_pairs=args.limit_pairs)
     return None
 
 

@@ -28,7 +28,6 @@ class Inconclusive(Exception):
 @dataclass(frozen=True)
 class Limits:
     max_pairs: int = DEFAULT_PAIR_LIMIT
-    max_degree: int | None = None
     # work budget per basis computation, in coefficient term-product units;
     # runaway parameter-fraction growth trips the cap long before it can
     # stall a single normal form
@@ -226,8 +225,6 @@ def buchberger(
             continue
         if h.is_constant():
             return [Polynomial.one(ring)]
-        if limits.max_degree is not None and h.total_degree() > limits.max_degree:
-            raise Inconclusive(f"degree limit {limits.max_degree} exceeded")
         h = make_monic(h, order)
         G.append(h)
         leads.append(_lead(h, order)[0])

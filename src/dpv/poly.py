@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .orders import grevlex_key
-from .ring import Coefficient, RingContext
+from .ring import Coefficient, RingContext, pp_divexact, pp_gcd, pp_mul
 
 INHOMOGENEOUS = "inhomogeneous"
 
@@ -150,6 +150,29 @@ class Polynomial:
 
     def scale(self, c: Coefficient) -> "Polynomial":
         return self * c
+
+    def clear_denominators(self) -> "Polynomial":
+        """f times the lcm of its coefficient denominators: every coefficient
+        of the result lies in F_p[params], and the factor is a nonzero
+        element of F_p[params], hence a unit of F_p(params).  f comes back
+        unchanged when its coefficients are already polynomials."""
+        p = self.ring.p
+        lcm = None
+        for c in self.terms.values():
+            if c.is_polynomial():
+                continue
+            if lcm is None:
+                lcm = c.den
+            else:
+                lcm = pp_mul(lcm, pp_divexact(c.den, pp_gcd(lcm, c.den, p), p), p)
+        if lcm is None:
+            return self
+        one = {(0,) * self.ring.nparams: 1}
+        terms = {
+            e: Coefficient(p, pp_mul(c.num, pp_divexact(lcm, c.den, p), p), one, reduced=True)
+            for e, c in self.terms.items()
+        }
+        return Polynomial(self.ring, terms, normalized=True)
 
     # -- calculus -------------------------------------------------------------
 
@@ -390,13 +413,3 @@ def _eval_pp(a: dict, targets: list[Coefficient], ring: RingContext) -> Coeffici
         total = total + part
     return total
 
-
-def arith(f: Polynomial, g: Polynomial, op: str) -> Polynomial:
-    """Binary arithmetic with an explicit operation name."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown operation {op!r}")

@@ -118,20 +118,6 @@ def pp_mul(a: PP, b: PP, p: int) -> PP:
     return out
 
 
-def pp_pow(a: PP, n: int, p: int) -> PP:
-    if n < 0:
-        raise ValueError("negative power")
-    nv = len(next(iter(a))) if a else 0
-    out = pp_const(1, p, nv)
-    base = a
-    while n:
-        if n & 1:
-            out = pp_mul(out, base, p)
-        base = pp_mul(base, base, p)
-        n >>= 1
-    return out
-
-
 def pp_monic(a: PP, p: int) -> PP:
     if not a:
         return a

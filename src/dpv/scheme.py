@@ -508,10 +508,20 @@ def jacobian_minors(
 
 def nonsmooth_ideal(chart: Chart, codim: int | None = None, include_params: bool = False) -> list[Polynomial]:
     """Generators of the locus where the derivation matrix drops below the
-    expected rank: chart equations plus all codim x codim minors."""
+    expected rank: chart equations plus all codim x codim minors.
+
+    Each equation is first multiplied by the lcm c of its coefficient
+    denominators, so the minors are built without parameter fractions.  The
+    ideal does not change (Fitting ideals are invariant under unit row
+    scaling, Eisenbud, Commutative Algebra, section 20): c is a unit of
+    F_p(params), a geometric derivation of c*f is c times that of f, and a
+    parameter derivation adds only f*dc, a multiple of f, which the ideal
+    already contains.  geometric_integrality builds its minors from the
+    uncleared equations instead, because its report prints the witness
+    minor and its index."""
     if codim is None:
         codim = chart.codim
-    eqs = chart.full_equations()
+    eqs = tuple(f.clear_denominators() for f in chart.full_equations())
     minors = jacobian_minors(eqs, chart.ring, codim, include_params)
     gens = list(eqs)
     for m in minors:

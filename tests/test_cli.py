@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from dpv.cli import main
+from dpv.cli import _limits, build_parser, main
+
+
+def test_limit_pairs_keeps_step_limit_from_env(monkeypatch):
+    monkeypatch.setenv("DPV_STEP_LIMIT", "12345")
+    args = build_parser().parse_args(["verify", "e1-2", "--limit-pairs", "7"])
+    limits = _limits(args)
+    assert limits.max_pairs == 7
+    assert limits.max_steps == 12345
 
 
 def test_verify_single_record(capsys):

@@ -98,6 +98,42 @@ def test_pth_power_roundtrip_p2(f):
     assert sq.pth_root() == f or sq.pth_root() * sq.pth_root() == sq
 
 
+DENOMINATORS = ("s", "t+1", "s+t", "s*t+s+t", "s^2+t")
+
+
+@given(
+    f=polys(RING3),
+    g=polys(RING3),
+    a=st.sampled_from(DENOMINATORS),
+    b=st.sampled_from(DENOMINATORS),
+)
+@settings(deadline=None, max_examples=80)
+def test_clear_denominators_is_a_polynomial_unit_multiple(f, g, a, b):
+    inv_a = parse_poly(RING3, a).constant_coefficient().inverse()
+    inv_b = parse_poly(RING3, b).constant_coefficient().inverse()
+    h = f * inv_a + g * inv_b
+    cleared = h.clear_denominators()
+    assert all(c.is_polynomial() for c in cleared.terms.values())
+    if h.is_zero():
+        assert cleared.is_zero()
+        return
+    e = next(iter(h.terms))
+    factor = cleared.terms[e] / h.terms[e]
+    assert factor.is_polynomial() and not factor.is_zero()
+    assert h * factor == cleared
+
+
+@given(f=polys(RING3))
+@settings(deadline=None, max_examples=40)
+def test_clear_denominators_keeps_polynomial_input(f):
+    assert f.clear_denominators() == f
+
+
+def test_clear_denominators_uses_the_lcm():
+    f = parse_poly(RING3, "x/(s*t) + y/(s^2+s) + z")
+    assert f.clear_denominators() == parse_poly(RING3, "(s+1)*x + t*y + (s^2*t+s*t)*z")
+
+
 def test_weighted_degree():
     f = parse_poly(RING2, "y^3+x^6")  # y has weight 2
     assert f.weighted_degree() == 6

@@ -2,9 +2,12 @@
 
 import pytest
 
-from dpv.groebner import is_unit_ideal
+from dpv.catalogue import RECORD_ORDER, load_example
+from dpv.groebner import buchberger, is_unit_ideal
 from dpv.parsing import parse_model, parse_poly, parse_ring
+from dpv.ring import work_done
 from dpv.scheme import (
+    Chart,
     ambient_check,
     blow_up,
     build_model,
@@ -265,3 +268,64 @@ def test_chart_singular_data_certificate_reduces():
     assert data.dim == 0
     # the certificate basis cuts exactly the inseparable point
     assert "x^2 + s" in data.certificate
+
+
+def _uncleared_nonsmooth_ideal(chart, include_params):
+    # reference: equations and minors exactly as the chart states them
+    eqs = chart.full_equations()
+    gens = list(eqs)
+    for m in jacobian_minors(eqs, chart.ring, chart.codim, include_params):
+        if m not in gens:
+            gens.append(m)
+    return gens
+
+
+def _has_fractions(chart):
+    return any(
+        not c.is_polynomial() for f in chart.full_equations() for c in f.terms.values()
+    )
+
+
+def test_cleared_nonsmooth_ideal_matches_uncleared_on_catalogue():
+    checked = []
+    for record_id in RECORD_ORDER:
+        _, model = load_example(record_id)
+        for c in model.charts:
+            if not _has_fractions(c):
+                continue
+            # buchberger defaults to grevlex
+            cleared = buchberger(nonsmooth_ideal(c, include_params=False))
+            reference = buchberger(_uncleared_nonsmooth_ideal(c, False))
+            assert cleared == reference, (record_id, c.name)
+            checked.append((record_id, c.name))
+    assert checked  # the e2-3 blow-up charts carry parameter denominators
+
+
+@pytest.mark.parametrize(
+    "names, equation, verdict",
+    [
+        # the parameter derivation of s/(s+1) is a unit: regular, not smooth
+        ("x z w", "x^2+s/(s+1)+z*w", True),
+        # a square in char 2: every derivation vanishes along x=0, y=z
+        ("x y z", "x^2/(s+1)+y^2+z^2", False),
+    ],
+)
+def test_cleared_regularity_verdict_matches_uncleared(names, equation, verdict):
+    ring = parse_ring(f"ring p=2 geom {names} params s")
+    chart = Chart(name="toy", ring=ring, equations=(parse_poly(ring, equation),))
+    assert _has_fractions(chart)
+    cleared = nonsmooth_ideal(chart, include_params=True)
+    reference = _uncleared_nonsmooth_ideal(chart, True)
+    assert is_unit_ideal(reference) is verdict
+    assert is_unit_ideal(cleared) is verdict
+    assert buchberger(cleared) == buchberger(reference)
+
+
+def test_check_regular_work_on_e2_3_stays_fraction_free():
+    # deterministic term-product count; the uncleared minors spent 977,160
+    _, model = load_example("e2-3")
+    before = work_done()
+    verdict, _ = check_regular(model, None)
+    spent = work_done() - before
+    assert verdict == "yes"
+    assert spent < 100_000
