@@ -357,14 +357,19 @@ def coverage_selftest() -> list[str]:
     return problems
 
 
-def load_example(record_id: str, limits: Limits | None = None) -> tuple[ExampleRecord, SurfaceModel]:
-    """Parse and build the model for a record (with its parents)."""
+def _record(record_id: str) -> ExampleRecord:
     rec = _RECORDS.get(record_id)
     if rec is None:
         for row in OUT_OF_SCOPE:
             if record_id == row.row or record_id == f"e{row.row}":
                 raise KeyError(f"{record_id!r} is out of scope: {row.reason}")
         raise KeyError(f"unknown example id {record_id!r}")
+    return rec
+
+
+def load_example(record_id: str, limits: Limits | None = None) -> tuple[ExampleRecord, SurfaceModel]:
+    """Parse and build the model for a record (with its parents)."""
+    rec = _record(record_id)
     parents: dict[str, SurfaceModel] = {}
     for name, text in rec.aux_models:
         parents[name] = build_model(parse_model(text), name, parents, limits)
@@ -506,144 +511,141 @@ def verify_example(
 ) -> VerificationReport:
     """Run the verification pipeline for one record and diff against the
     expected row.  Always returns a report; hard failures are recorded as
-    failed checks."""
-    rec, model = load_example(record_id, limits)
+    failed checks, and a resource limit hit anywhere (model build included)
+    makes the affected checks inconclusive."""
+    rec = _record(record_id)
     selected = tuple(checks) if checks is not None else ALL_CHECKS
     for c in selected:
         if c not in ALL_CHECKS:
             raise ValueError(f"unknown check {c!r}")
     report = VerificationReport(record_id=record_id, expected=_expected_dict(rec))
     report.notes.extend(rec.notes)
-    report.notes.extend(model.notes)
+    try:
+        _, model = load_example(record_id, limits)
+    except Inconclusive as exc:
+        model, build_note = None, f"model build: {exc}"
+    else:
+        report.notes.extend(model.notes)
     report.notes.append(
         "rho, h1, normalization and extremal-ray data are expected values, not computed"
     )
 
-    if "ambient" in selected:
+    # built per call, so wrappers installed on these module names (as
+    # benchmark/tracer.py does) see every check
+    runners = {
+        "ambient": _check_ambient,
+        "regular": _check_regular,
+        "geom_normal": _check_geom_normal,
+        "geom_integral": _check_geom_integral,
+        "k2": _check_k2,
+        "extras": _run_extras,
+    }
+    for name in ALL_CHECKS:
+        if name not in selected or (name == "extras" and rec.extras is None):
+            continue
+        if model is None:
+            report.checks.append(CheckResult(name, "inconclusive", note=build_note))
+            continue
         t0 = time.perf_counter()
         try:
-            amb = ambient_check(model, limits)
-            status = "pass" if amb.ok else "fail"
-            cert = {
-                "strata": [[d, bool(ok)] for d, ok in amb.strata],
-                "coverage": amb.coverage,
-            }
-            result = CheckResult(
-                "ambient",
-                status,
-                expected={"ok": True},
-                computed={"ok": amb.ok, "coverage": amb.coverage},
-                certificate=cert,
-                note="; ".join(amb.notes),
-            )
+            result = runners[name](rec, model, limits)
         except Inconclusive as exc:
-            result = CheckResult("ambient", "inconclusive", note=str(exc))
+            result = CheckResult(name, "inconclusive", note=str(exc))
         result.seconds = time.perf_counter() - t0
         report.checks.append(result)
-
-    if "regular" in selected:
-        t0 = time.perf_counter()
-        verdict, per_chart = check_regular(model, limits)
-        expected = "yes" if rec.expected.regular else "no"
-        status = (
-            "inconclusive"
-            if verdict == "inconclusive"
-            else ("pass" if verdict == expected else "fail")
-        )
-        cert = [
-            {
-                "chart": r.name,
-                "provenance": r.provenance,
-                "verdict": r.verdict,
-                "detail": r.detail,
-            }
-            for r in per_chart
-        ]
-        report.checks.append(
-            CheckResult(
-                "regular",
-                status,
-                expected=expected,
-                computed=verdict,
-                certificate=cert,
-                seconds=time.perf_counter() - t0,
-            )
-        )
-
-    if "geom_normal" in selected:
-        t0 = time.perf_counter()
-        normal, data = is_geometrically_normal(model, limits)
-        dim = None if normal is None else max(d.dim for d in data)
-        expected = "yes" if rec.expected.geom_normal else "no"
-        if normal is None:
-            status, computed = "inconclusive", None
-        else:
-            computed = "yes" if normal else "no"
-            status = "pass" if computed == expected else "fail"
-        cert = [
-            {
-                "chart": d.name,
-                "provenance": d.provenance,
-                "dim": d.dim,
-                "basis": list(d.certificate),
-                "detail": d.detail,
-            }
-            for d in data
-        ]
-        report.checks.append(
-            CheckResult(
-                "geom_normal",
-                status,
-                expected=expected,
-                computed={"geom_normal": computed, "singular_dimension": dim},
-                certificate=cert,
-                seconds=time.perf_counter() - t0,
-            )
-        )
-
-    if "geom_integral" in selected:
-        t0 = time.perf_counter()
-        res = geometric_integrality(model, rec.assumptions, limits)
-        expected = "yes" if rec.expected.geom_integral else "no"
-        computed = "yes" if res["integral"] else "no"
-        status = "pass" if computed == expected else "fail"
-        report.checks.append(
-            CheckResult(
-                "geom_integral",
-                status,
-                expected=expected,
-                computed={
-                    "geom_integral": computed,
-                    "reduced": res["reduced"],
-                    "irreducible": res["irreducible"],
-                },
-                certificate={"smooth_point_witness": res["witness"]},
-                note="irreducibility implied by regularity with properness and H0 = k on record",
-                seconds=time.perf_counter() - t0,
-            )
-        )
-
-    if "k2" in selected:
-        t0 = time.perf_counter()
-        val, cert = compute_k2(rec.k2_data, model)
-        status = "pass" if val == rec.expected.k2 else "fail"
-        report.checks.append(
-            CheckResult(
-                "k2",
-                status,
-                expected=rec.expected.k2,
-                computed=val,
-                certificate=cert,
-                seconds=time.perf_counter() - t0,
-            )
-        )
-
-    if "extras" in selected and rec.extras is not None:
-        t0 = time.perf_counter()
-        report.checks.append(_run_extras(rec, model, limits))
-        report.checks[-1].seconds = time.perf_counter() - t0
-
     return report
+
+
+def _check_ambient(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:
+    amb = ambient_check(model, limits)
+    return CheckResult(
+        "ambient",
+        "pass" if amb.ok else "fail",
+        expected={"ok": True},
+        computed={"ok": amb.ok, "coverage": amb.coverage},
+        certificate={
+            "strata": [[d, bool(ok)] for d, ok in amb.strata],
+            "coverage": amb.coverage,
+        },
+        note="; ".join(amb.notes),
+    )
+
+
+def _check_regular(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:
+    verdict, per_chart = check_regular(model, limits)
+    expected = "yes" if rec.expected.regular else "no"
+    status = (
+        "inconclusive"
+        if verdict == "inconclusive"
+        else ("pass" if verdict == expected else "fail")
+    )
+    cert = [
+        {
+            "chart": r.name,
+            "provenance": r.provenance,
+            "verdict": r.verdict,
+            "detail": r.detail,
+        }
+        for r in per_chart
+    ]
+    return CheckResult("regular", status, expected=expected, computed=verdict, certificate=cert)
+
+
+def _check_geom_normal(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:
+    normal, data = is_geometrically_normal(model, limits)
+    dim = None if normal is None else max(d.dim for d in data)
+    expected = "yes" if rec.expected.geom_normal else "no"
+    if normal is None:
+        status, computed = "inconclusive", None
+    else:
+        computed = "yes" if normal else "no"
+        status = "pass" if computed == expected else "fail"
+    cert = [
+        {
+            "chart": d.name,
+            "provenance": d.provenance,
+            "dim": d.dim,
+            "basis": list(d.certificate),
+            "detail": d.detail,
+        }
+        for d in data
+    ]
+    return CheckResult(
+        "geom_normal",
+        status,
+        expected=expected,
+        computed={"geom_normal": computed, "singular_dimension": dim},
+        certificate=cert,
+    )
+
+
+def _check_geom_integral(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:
+    res = geometric_integrality(model, rec.assumptions, limits)
+    expected = "yes" if rec.expected.geom_integral else "no"
+    computed = "yes" if res["integral"] else "no"
+    return CheckResult(
+        "geom_integral",
+        "pass" if computed == expected else "fail",
+        expected=expected,
+        computed={
+            "geom_integral": computed,
+            "reduced": res["reduced"],
+            "irreducible": res["irreducible"],
+        },
+        certificate={"smooth_point_witness": res["witness"]},
+        note="irreducibility implied by regularity with properness and H0 = k on record",
+    )
+
+
+def _check_k2(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:
+    val, cert = compute_k2(rec.k2_data, model)
+    return CheckResult(
+        "k2",
+        "pass" if val == rec.expected.k2 else "fail",
+        expected=rec.expected.k2,
+        computed=val,
+        certificate=cert,
+    )
 
 
 def _run_extras(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:

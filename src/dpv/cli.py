@@ -82,7 +82,7 @@ def _cmd_verify_all(args) -> int:
     for report in summary.reports:
         exp = report.expected
         row = f"{exp['row']} (p={exp['p']})"
-        k2 = report.check("k2").computed if any(c.name == "k2" for c in report.checks) else "?"
+        k2 = next((c.computed for c in report.checks if c.name == "k2" and c.computed is not None), "?")
         print(f"{row:12s} {report.record_id:14s} {report.status:12s} K2={k2}")
         rows.append({"row": row, "id": report.record_id, "status": report.status})
         if outdir is not None:

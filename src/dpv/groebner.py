@@ -13,6 +13,7 @@ import heapq
 import itertools
 import os
 from dataclasses import dataclass
+from operator import add, le, sub
 
 from .orders import MonomialOrder, elimination, grevlex
 from .poly import Polynomial
@@ -69,13 +70,8 @@ class Budget:
             raise Inconclusive("work budget exceeded")
 
 
-def _lead(f: Polynomial, order: MonomialOrder):
-    e = max(f.terms, key=order.key)
-    return e, f.terms[e]
-
-
 def monomial_divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_lcm(a, b):
@@ -83,7 +79,7 @@ def monomial_lcm(a, b):
 
 
 def make_monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
-    _, lc = _lead(f, order)
+    _, lc = f.lead(order)
     if lc.is_one():
         return f
     inv = lc.inverse()
@@ -97,44 +93,53 @@ def reduce(
     budget: "Budget | Limits | None" = None,
 ) -> Polynomial:
     """Full normal form of f modulo basis; deterministic divisor scan order.
-    Passing Limits applies its work budget to this one reduction."""
+    Passing Limits applies its work budget to this one reduction.
+
+    Heap division (Monagan & Pearce): live terms sit in a dict and their
+    monomials in a min-heap on order.rkey, so the leading live term is a pop
+    rather than a scan.  Entries whose monomial has left the dict (cancelled,
+    or a duplicate of a processed term) are skipped on pop; this is exact
+    because every new term is smaller than the term being reduced."""
     if isinstance(budget, Limits):
         budget = Budget(budget.max_steps)
     ring = f.ring
+    rkey = order.rkey
     data = []
     for g in basis:
         if g.is_zero():
             continue
-        lm, lc = _lead(g, order)
-        data.append((lm, lc, g))
+        lm, lc = g.lead(order)
+        data.append((lm, lc, [(ge, gc) for ge, gc in g.terms.items() if ge != lm]))
     work = dict(f.terms)
+    heap = [(rkey(e), e) for e in work]
+    heapq.heapify(heap)
     remainder: dict = {}
-    key = order.key
     while work:
         if budget is not None:
             budget.charge(len(work) + 1)
-        e = max(work, key=key)
+        e = heapq.heappop(heap)[1]
+        while e not in work:
+            e = heapq.heappop(heap)[1]
         c = work.pop(e)
-        hit = None
-        for lm, lc, g in data:
+        for lm, lc, tail in data:
             if monomial_divides(lm, e):
-                hit = (lm, lc, g)
                 break
-        if hit is None:
+        else:
             remainder[e] = c
             continue
-        lm, lc, g = hit
         factor = c / lc
-        delta = tuple(x - y for x, y in zip(e, lm))
-        for ge, gc in g.terms.items():
-            if ge == lm:
-                continue
-            ne = tuple(x + y for x, y in zip(ge, delta))
+        delta = tuple(map(sub, e, lm))
+        for ge, gc in tail:
+            ne = tuple(map(add, ge, delta))
             v = factor * gc
             old = work.get(ne)
-            v = -v if old is None else old - v
+            if old is None:
+                work[ne] = -v
+                heapq.heappush(heap, (rkey(ne), ne))
+                continue
+            v = old - v
             if v.is_zero():
-                work.pop(ne, None)
+                del work[ne]
             else:
                 work[ne] = v
     return Polynomial(ring, remainder, normalized=True)
@@ -142,8 +147,8 @@ def reduce(
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     ring = f.ring
-    lmf, lcf = _lead(f, order)
-    lmg, lcg = _lead(g, order)
+    lmf, lcf = f.lead(order)
+    lmg, lcg = g.lead(order)
     L = monomial_lcm(lmf, lmg)
     af = tuple(x - y for x, y in zip(L, lmf))
     ag = tuple(x - y for x, y in zip(L, lmg))
@@ -185,7 +190,7 @@ def buchberger(
         seen.add(hk)
         G.append(h)
 
-    leads = [_lead(g, order)[0] for g in G]
+    leads = [g.lead(order)[0] for g in G]
     pending: set[tuple[int, int]] = set()
     heap: list = []
     for i, j in itertools.combinations(range(len(G)), 2):
@@ -227,7 +232,7 @@ def buchberger(
             return [Polynomial.one(ring)]
         h = make_monic(h, order)
         G.append(h)
-        leads.append(_lead(h, order)[0])
+        leads.append(h.lead(order)[0])
         t = len(G) - 1
         for i2 in range(t):
             L2 = monomial_lcm(leads[i2], leads[t])
@@ -240,7 +245,7 @@ def buchberger(
 def _interreduce(
     G: list[Polynomial], order: MonomialOrder, budget: Budget | None = None
 ) -> list[Polynomial]:
-    pairs = sorted(((_lead(g, order)[0], g) for g in G), key=lambda t: order.key(t[0]))
+    pairs = sorted(((g.lead(order)[0], g) for g in G), key=lambda t: order.key(t[0]))
     kept: list[tuple[tuple, Polynomial]] = []
     for lm, g in pairs:
         if any(monomial_divides(klm, lm) for klm, _ in kept):
@@ -252,7 +257,7 @@ def _interreduce(
         others = polys[:idx] + polys[idx + 1 :]
         h = reduce(g, others, order, budget) if others else g
         reduced.append(make_monic(h, order))
-    reduced.sort(key=lambda f: order.key(_lead(f, order)[0]), reverse=True)
+    reduced.sort(key=lambda f: order.key(f.lead(order)[0]), reverse=True)
     return reduced
 
 
@@ -322,7 +327,7 @@ def dimension(
         return -1
     supports = []
     for g in G:
-        lm = _lead(g, order)[0]
+        lm = g.lead(order)[0]
         supports.append(frozenset(i for i, x in enumerate(lm) if x))
     for size in range(n, -1, -1):
         for combo in itertools.combinations(range(n), size):
@@ -345,7 +350,7 @@ def vector_space_dimension(
     G = buchberger(gens, order, limits)
     if len(G) == 1 and G[0].is_constant() and not G[0].is_zero():
         return 0
-    leads = [_lead(g, order)[0] for g in G]
+    leads = [g.lead(order)[0] for g in G]
     caps = [None] * n
     for lm in leads:
         nz = [i for i, x in enumerate(lm) if x]

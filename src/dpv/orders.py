@@ -7,10 +7,16 @@ only because variable elimination needs them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import neg
 
 
 def grevlex_key(e):
-    return (sum(e), tuple(-x for x in reversed(e)))
+    return (sum(e), tuple(map(neg, reversed(e))))
+
+
+def _grevlex_rkey(e):
+    return (-sum(e), e[::-1])
 
 
 @dataclass(frozen=True)
@@ -30,12 +36,26 @@ class MonomialOrder:
             return grevlex_key(e)
         if self.kind == "lex":
             return tuple(e)
-        eb = tuple(e[i] for i in self.block)
-        rest = tuple(x for i, x in enumerate(e) if i not in self._blockset())
+        eb, rest = self._split(e)
         return (grevlex_key(eb), grevlex_key(rest))
 
-    def _blockset(self):
-        return frozenset(self.block)
+    def rkey(self, e):
+        """A key whose ascending order is key's descending order, so a
+        min-heap of rkeys pops the largest monomial first."""
+        if self.kind == "grevlex":
+            return _grevlex_rkey(e)
+        if self.kind == "lex":
+            return tuple(map(neg, e))
+        eb, rest = self._split(e)
+        return (_grevlex_rkey(eb), _grevlex_rkey(rest))
+
+    @cached_property
+    def _rest(self):
+        return tuple(i for i in range(self.n) if i not in self.block)
+
+    def _split(self, e):
+        """(block exponents, the other exponents) for an "elim" order."""
+        return tuple(e[i] for i in self.block), tuple(e[i] for i in self._rest)
 
     def sort_terms(self, exps, reverse: bool = True):
         return sorted(exps, key=self.key, reverse=reverse)

@@ -9,8 +9,6 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .orders import grevlex_key
 from .ring import Coefficient, RingContext, pp_divexact, pp_gcd, pp_mul
 
@@ -18,7 +16,7 @@ INHOMOGENEOUS = "inhomogeneous"
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_lead")
 
     def __init__(self, ring: RingContext, terms: dict | None = None, normalized: bool = False):
         self.ring = ring
@@ -28,6 +26,7 @@ class Polynomial:
             terms = {e: c for e, c in terms.items() if not c.is_zero()}
         self.terms = terms
         self._hash = None
+        self._lead = None
 
     # -- constructors --------------------------------------------------------
 
@@ -68,6 +67,15 @@ class Polynomial:
 
     def is_unit_constant(self) -> bool:
         return self.is_constant() and not self.is_zero()
+
+    def lead(self, order):
+        """(monomial, coefficient) of the leading term under order.  Terms
+        never change after construction, so the last order's answer is kept."""
+        cached = self._lead
+        if cached is None or cached[0] is not order:
+            e = max(self.terms, key=order.key)
+            cached = self._lead = (order, e, self.terms[e])
+        return cached[1], cached[2]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -382,17 +390,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
-
-
-@dataclass(frozen=True)
-class Substitution:
-    """A named bundle of substitution targets, applied with .apply(f)."""
-
-    assignments: tuple[tuple[str, object], ...]
-    target_ring: RingContext | None = None
-
-    def apply(self, f: Polynomial) -> Polynomial:
-        return f.substitute(dict(self.assignments), target_ring=self.target_ring)
 
 
 def _substitute_coeff(c: Coefficient, targets: list[Coefficient], ring: RingContext) -> Coefficient:

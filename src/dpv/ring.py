@@ -14,14 +14,21 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-_WORK = threading.local()
+from .orders import grevlex_key
+
+
+class _Work(threading.local):
+    n = 0  # class default: every thread starts at zero
+
+
+_WORK = _Work()
 
 
 def work_done() -> int:
     """Monotone per-thread counter of coefficient-arithmetic effort, counted
     in term-product units.  Budgeted computations sample it before and after
     a step; raw step counts cannot see gcd or fraction-normalization cost."""
-    return getattr(_WORK, "n", 0)
+    return _WORK.n
 
 
 def is_prime(n: int) -> bool:
@@ -57,13 +64,9 @@ def pp_is_const(a: PP) -> bool:
     return len(a) == 0 or (len(a) == 1 and not any(next(iter(a))))
 
 
-def _grevlex_key(e):
-    return (sum(e), tuple(-x for x in reversed(e)))
-
-
 def pp_lead(a: PP):
     """Leading (exponents, coefficient) under grevlex on the parameters."""
-    e = max(a, key=_grevlex_key)
+    e = max(a, key=grevlex_key)
     return e, a[e]
 
 
@@ -102,10 +105,7 @@ def pp_scale(a: PP, c: int, p: int) -> PP:
 def pp_mul(a: PP, b: PP, p: int) -> PP:
     if not a or not b:
         return {}
-    try:
-        _WORK.n += len(a) * len(b)
-    except AttributeError:
-        _WORK.n = len(a) * len(b)
+    _WORK.n += len(a) * len(b)
     out: PP = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -271,10 +271,7 @@ def _pp_gcd_one_var(a: PP, b: PP, i: int, p: int) -> PP:
         return out
 
     fa, fb = dense(a), dense(b)
-    try:
-        _WORK.n += len(fa) * len(fb)
-    except AttributeError:
-        _WORK.n = len(fa) * len(fb)
+    _WORK.n += len(fa) * len(fb)
     while fb:
         fa, fb = fb, _dense_rem(fa, fb, p)
     inv = pow(fa[-1], -1, p)
@@ -332,6 +329,11 @@ class Coefficient:
 
     The denominator is monic, numerator and denominator are coprime, so the
     representation is canonical and __eq__ is structural.
+
+    When both operands are nonzero constants of F_p, *, / and - take an
+    integer fast path mod p.  It charges work_done() exactly what the general
+    path's pp_mul calls would (2 units for * and /, none for -), so work
+    budgets trip at the same step either way.
     """
 
     __slots__ = ("p", "num", "den", "_hash")
@@ -342,6 +344,13 @@ class Coefficient:
         if not reduced:
             if not num:
                 den = {_zexp(den): 1}
+            elif len(den) == 1 and not any(z := next(iter(den))):
+                # constant denominator: already coprime to num, only make it
+                # monic (pp_gcd would return 1 without charging any work)
+                d = den[z]
+                if d != 1:
+                    num = pp_scale(num, pow(d, -1, p), p)
+                    den = {z: 1}
             else:
                 g = pp_gcd(num, den, p)
                 if not pp_is_const(g):
@@ -405,12 +414,20 @@ class Coefficient:
         return Coefficient(self.p, pp_neg(self.num, self.p), self.den, reduced=True)
 
     def __sub__(self, other: "Coefficient") -> "Coefficient":
-        return self + (-other)
+        a, b = _fp_value(self), _fp_value(other)
+        if a is None or b is None:
+            return self + (-other)
+        v = (a - b) % self.p
+        return Coefficient(self.p, dict.fromkeys(self.den, v) if v else {}, self.den, reduced=True)
 
     def __mul__(self, other: "Coefficient") -> "Coefficient":
         p = self.p
         if not self.num or not other.num:
             return Coefficient.zero(p, _nparams_of(self))
+        a, b = _fp_value(self), _fp_value(other)
+        if a is not None and b is not None:
+            _WORK.n += 2
+            return Coefficient(p, dict.fromkeys(self.den, a * b % p), self.den, reduced=True)
         num = pp_mul(self.num, other.num, p)
         den = pp_mul(self.den, other.den, p)
         return Coefficient(p, num, den)
@@ -419,6 +436,11 @@ class Coefficient:
         if not other.num:
             raise ZeroDivisionError("division by zero coefficient")
         p = self.p
+        a, b = _fp_value(self), _fp_value(other)
+        if a is not None and b is not None:
+            _WORK.n += 2
+            v = a * pow(b, -1, p) % p
+            return Coefficient(p, dict.fromkeys(self.den, v), self.den, reduced=True)
         num = pp_mul(self.num, other.den, p)
         den = pp_mul(self.den, other.num, p)
         return Coefficient(p, num, den)
@@ -482,6 +504,17 @@ def _zexp(a: PP):
     return (0,) * len(next(iter(a)))
 
 
+def _fp_value(c: Coefficient) -> int | None:
+    """The residue of a nonzero constant coefficient, None otherwise: a
+    constant is {0: v}/{0: 1}."""
+    den = c.den
+    if len(den) == 1 and len(c.num) == 1:
+        for e in den:
+            if not any(e):
+                return c.num.get(e)
+    return None
+
+
 def _nparams_of(c: Coefficient) -> int:
     return len(next(iter(c.den)))
 
@@ -490,7 +523,7 @@ def format_pp(a: PP, names) -> str:
     if not a:
         return "0"
     parts = []
-    for e in sorted(a, key=_grevlex_key, reverse=True):
+    for e in sorted(a, key=grevlex_key, reverse=True):
         c = a[e]
         factors = []
         if c != 1 or not any(e):

@@ -13,6 +13,7 @@ from dpv.catalogue import (
     verify_all,
     verify_example,
 )
+from dpv.groebner import Limits
 
 JSON_KEYS = {"schema", "id", "checks", "certificates", "expected", "computed", "notes", "timings"}
 
@@ -119,3 +120,22 @@ def test_compute_k2_rejects_unknown_kind():
     _, model = load_example("e1-2")
     with pytest.raises(ValueError):
         compute_k2({"kind": "bogus"}, model)
+
+
+def test_limit_trip_during_model_build_marks_every_selected_check():
+    # e2-3 is built by blowing up e1-4, whose saturation needs more than one pair
+    report = verify_example("e2-3", ("regular", "k2"), Limits(max_pairs=1))
+    assert [(c.name, c.status) for c in report.checks] == [
+        ("regular", "inconclusive"),
+        ("k2", "inconclusive"),
+    ]
+    assert all(c.note.startswith("model build: pair limit") for c in report.checks)
+    assert report.status == "inconclusive"
+    assert report.expected["row"] == "2-3"
+
+
+def test_limit_trip_inside_one_check_marks_only_that_check():
+    report = verify_example("e2-2", ("geom_integral", "k2"), Limits(max_pairs=2))
+    assert report.check("geom_integral").status == "inconclusive"
+    assert "pair limit" in report.check("geom_integral").note
+    assert report.check("k2").status == "pass"

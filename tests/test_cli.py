@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dpv.catalogue import record_ids
 from dpv.cli import _limits, build_parser, main
 
 
@@ -127,3 +128,11 @@ def test_groebner_missing_ring(tmp_path, capsys):
     ideal.write_text("x\n")
     assert main(["groebner", "--ring", str(empty), "--ideal", str(ideal)]) == 1
     assert "no declaration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record_id", record_ids())
+def test_verify_under_tiny_pair_limit_never_raises(record_id, capsys):
+    # a limit trip anywhere (model build, integrality, extras) is an
+    # inconclusive check and exit code 2, never a traceback
+    assert main(["verify", record_id, "--limit-pairs", "1"]) in (0, 2)
+    assert f"{record_id}: " in capsys.readouterr().out

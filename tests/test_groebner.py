@@ -1,8 +1,13 @@
 """Groebner engine: reduced bases, membership, saturation, dimensions."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpv.groebner import (
+    Budget,
     Inconclusive,
     Limits,
     buchberger,
@@ -16,8 +21,12 @@ from dpv.groebner import (
     saturate,
     vector_space_dimension,
 )
-from dpv.orders import grevlex, lex
+from dpv.orders import elimination, grevlex, lex
 from dpv.parsing import parse_poly, parse_ring
+from dpv.poly import Polynomial
+from dpv.ring import work_done
+
+from _gen import make_ring, random_poly
 
 
 def P(ring, *texts):
@@ -174,3 +183,137 @@ def test_elimination_order_projects_ideals():
     free = [g for g in G if all(e[0] == 0 for e in g.terms)]
     assert free, "expected an eliminant in y alone"
     assert sorted(str(g) for g in free) == ["y^4 + 2*y"]
+
+
+# -- heap division against the reference max-scan division -------------------
+
+
+def reference_reduce(f, basis, order):
+    """Full normal form by the textbook loop: scan the live terms for the
+    largest, divide by the first basis element whose lead divides it."""
+    data = []
+    for g in basis:
+        if not g.is_zero():
+            lm = max(g.terms, key=order.key)
+            data.append((lm, g.terms[lm], g))
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        e = max(work, key=order.key)
+        c = work.pop(e)
+        hit = next((d for d in data if monomial_divides(d[0], e)), None)
+        if hit is None:
+            remainder[e] = c
+            continue
+        lm, lc, g = hit
+        factor = c / lc
+        delta = tuple(x - y for x, y in zip(e, lm))
+        for ge, gc in g.terms.items():
+            if ge == lm:
+                continue
+            ne = tuple(x + y for x, y in zip(ge, delta))
+            v = factor * gc
+            old = work.get(ne)
+            v = -v if old is None else old - v
+            if v.is_zero():
+                work.pop(ne, None)
+            else:
+                work[ne] = v
+    return Polynomial(f.ring, remainder, normalized=True)
+
+
+def _orders(n):
+    return [grevlex(n), lex(n), elimination(n, (0,))]
+
+
+@pytest.mark.parametrize("p, nparams", [(2, 0), (3, 0), (5, 0), (2, 1)])
+@given(seed=st.integers(0, 2**30), nvars=st.integers(1, 3))
+@settings(deadline=None, max_examples=40)
+def test_heap_reduce_matches_reference(p, nparams, seed, nvars):
+    # divisors are random polynomials, not a Groebner basis, so the normal
+    # form depends on the divisor scan order and the term order
+    ring = make_ring(p, nvars, nparams)
+    rng = random.Random(seed)
+    f = random_poly(ring, rng, 6, 4)
+    basis = [random_poly(ring, rng, 3, 2) for _ in range(rng.randint(1, 3))]
+    for order in _orders(nvars):
+        got = reduce(f, basis, order)
+        want = reference_reduce(f, basis, order)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+
+
+@given(exps=st.lists(st.tuples(*([st.integers(0, 5)] * 4)), unique=True, max_size=30))
+@settings(deadline=None, max_examples=100)
+def test_rkey_ascending_is_key_descending(exps):
+    for order in _orders(4):
+        assert sorted(exps, key=order.rkey) == sorted(exps, key=order.key, reverse=True)
+
+
+# -- exact work units: budgets keep meaning "term products" ------------------
+# The constants were measured with the max-scan division and the general
+# coefficient arithmetic; the heap division and the F_p constant fast path
+# must charge exactly the same units at the same points.
+
+FP_RING = "ring p=7 geom a b c d e"
+FP_GENS = ("3*a^2+b*c+5*d*e+2*a*e", "a*b+4*c^2+6*b*e+d^2", "2*b^2+a*d+3*c*e+5*e^2",
+           "c*d+6*a*c+b*d+4*a^2")
+FP_QUERIES = ("a^3+2*b^2*c+5*d*e^2", "3*c^3+a*b*d+6*e^3+b^2*e", "4*a*c*e+d^3+2*b*c^2")
+FS_RING = "ring p=2 geom x y z params s"
+FS_GENS = ("s*x^2+y*z+x", "x*y+(s+1)*z^2", "y^2+s*x*z+1")
+FS_QUERY = "x^3*y+s*z^3+x*y^2+(s+1)*x*z"
+
+
+class CountingBudget(Budget):
+    __slots__ = ("steps",)
+
+    def __init__(self, allowance):
+        super().__init__(allowance)
+        self.steps = 0
+
+    def charge(self, cost):
+        self.steps += 1
+        super().charge(cost)
+
+
+def _work(fn):
+    before = work_done()
+    result = fn()
+    return work_done() - before, result
+
+
+def test_work_units_exact_over_fp():
+    ring = parse_ring(FP_RING)
+    order = grevlex(ring.ngeom)
+    spent, G = _work(lambda: buchberger(P(ring, *FP_GENS), order))
+    assert (spent, len(G)) == (9_554, 11)
+    spent, _ = _work(lambda: [reduce(q, G, order) for q in P(ring, *FP_QUERIES)])
+    assert spent == 306
+
+
+def test_work_units_exact_over_f2_s():
+    ring = parse_ring(FS_RING)
+    order = grevlex(ring.ngeom)
+    spent, G = _work(lambda: buchberger(P(ring, *FS_GENS), order))
+    assert (spent, len(G)) == (782, 6)
+    spent, _ = _work(lambda: reduce(parse_poly(ring, FS_QUERY), G, order))
+    assert spent == 298
+
+
+# (allowance, charge call that trips, budget left after it); the second
+# allowance of each ring is one unit short of finishing the reduction
+@pytest.mark.parametrize("ring_text, gens, query, allowance, steps, left", [
+    (FP_RING, FP_GENS, FP_QUERIES[0], 150, 7, -19),
+    (FP_RING, FP_GENS, FP_QUERIES[0], 257, 19, -1),
+    (FS_RING, FS_GENS, FS_QUERY, 150, 8, -55),
+    (FS_RING, FS_GENS, FS_QUERY, 341, 14, -1),
+])
+def test_budget_trips_on_the_same_reduce_step(ring_text, gens, query, allowance, steps, left):
+    ring = parse_ring(ring_text)
+    order = grevlex(ring.ngeom)
+    G = buchberger(P(ring, *gens), order)
+    f = parse_poly(ring, query)  # parsing spends units too: do it first
+    budget = CountingBudget(allowance)
+    with pytest.raises(Inconclusive):
+        reduce(f, G, order, budget)
+    assert (budget.steps, budget.left) == (steps, left)

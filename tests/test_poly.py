@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpv.parsing import parse_poly, parse_ring
-from dpv.poly import Polynomial, Substitution
+from dpv.poly import Polynomial
 
 from _gen import random_poly
 
@@ -54,12 +54,6 @@ def test_substitute_is_a_homomorphism(f, g):
     }
     assert (f + g).substitute(images) == f.substitute(images) + g.substitute(images)
     assert (f * g).substitute(images) == f.substitute(images) * g.substitute(images)
-
-
-def test_substitution_bundle_applies():
-    target = parse_ring("ring p=3 geom u params s t")
-    sub = Substitution((("x", parse_poly(target, "u")),), target)
-    assert sub.apply(parse_poly(RING3, "s*x^2")) == parse_poly(target, "s*u^2")
 
 
 def test_substitute_keeps_parameters():
