@@ -14,10 +14,9 @@ byte-identical.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from .groebner import Inconclusive, Limits
 from .lattice import (
@@ -34,7 +33,6 @@ from .scheme import (
     build_model,
     check_regular,
     geometric_integrality,
-    geometric_singular_dimension,
     is_geometrically_normal,
     subschemes_disjoint,
 )
@@ -502,6 +500,8 @@ def compute_k2(k2_data: dict, model: SurfaceModel) -> tuple[int, dict]:
 
 
 ALL_CHECKS = ("ambient", "regular", "geom_normal", "geom_integral", "k2", "extras")
+# the verdicts two models of one row must agree on (cross-model extras)
+VERDICT_CHECKS = ("regular", "geom_normal", "geom_integral", "k2")
 
 
 def verify_example(
@@ -538,7 +538,7 @@ def verify_example(
         "geom_normal": _check_geom_normal,
         "geom_integral": _check_geom_integral,
         "k2": _check_k2,
-        "extras": _run_extras,
+        "extras": partial(_run_extras, done=report.checks),
     }
     for name in ALL_CHECKS:
         if name not in selected or (name == "extras" and rec.extras is None):
@@ -593,13 +593,13 @@ def _check_regular(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResu
 
 def _check_geom_normal(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:
     normal, data = is_geometrically_normal(model, limits)
-    dim = None if normal is None else max(d.dim for d in data)
     expected = "yes" if rec.expected.geom_normal else "no"
     if normal is None:
-        status, computed = "inconclusive", None
+        status, computed, dim = "inconclusive", None, None
     else:
         computed = "yes" if normal else "no"
         status = "pass" if computed == expected else "fail"
+        dim = max(d.dim for d in data)
     cert = [
         {
             "chart": d.name,
@@ -616,6 +616,7 @@ def _check_geom_normal(rec: ExampleRecord, model: SurfaceModel, limits) -> Check
         expected=expected,
         computed={"geom_normal": computed, "singular_dimension": dim},
         certificate=cert,
+        note="; ".join(f"{d.name}: {d.detail}" for d in data if d.dim is None),
     )
 
 
@@ -648,7 +649,9 @@ def _check_k2(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:
     )
 
 
-def _run_extras(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:
+def _run_extras(rec: ExampleRecord, model: SurfaceModel, limits, done) -> CheckResult:
+    """Record-specific certificates; done holds the checks already run for
+    this record, whose verdicts a cross-model check reuses."""
     if rec.extras == "disjoint_curves":
         a_texts, b_texts = rec.extra_data
         a_gens = [parse_poly(model.ring, t) for t in a_texts]
@@ -670,7 +673,10 @@ def _run_extras(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:
         )
     if rec.extras == "cross_model":
         (sibling_id,) = rec.extra_data
-        mine = verdict_tuple(rec.record_id, limits)
+        if {c.name for c in done} >= set(VERDICT_CHECKS):
+            mine = _verdicts(rec.record_id, done)
+        else:
+            mine = verdict_tuple(rec.record_id, limits)
         theirs = verdict_tuple(sibling_id, limits)
         status = "pass" if mine == theirs else "fail"
         return CheckResult(
@@ -678,24 +684,31 @@ def _run_extras(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:
             status,
             expected={"agrees_with": sibling_id},
             computed={"this": list(mine), "sibling": list(theirs)},
-            certificate={
-                "kind": "cross_model",
-                "tuple_fields": ["regular", "geom_normal", "geom_integral", "k2"],
-            },
+            certificate={"kind": "cross_model", "tuple_fields": list(VERDICT_CHECKS)},
             note="independent presentations of the same row must agree",
         )
     raise ValueError(f"unknown extras {rec.extras!r}")
 
 
 def verdict_tuple(record_id: str, limits: Limits | None = None):
-    """(regular, geom_normal, geom_integral, K^2) for cross-model checks."""
-    rec, model = load_example(record_id, limits)
-    reg, _ = check_regular(model, limits)
-    normal, _ = is_geometrically_normal(model, limits)
-    integ = geometric_integrality(model, rec.assumptions, limits)
-    k2, _ = compute_k2(rec.k2_data, model)
-    normal_txt = None if normal is None else ("yes" if normal else "no")
-    return (reg, normal_txt, "yes" if integ["integral"] else "no", k2)
+    """(regular, geom_normal, geom_integral, K^2) for cross-model checks.
+    Raises Inconclusive when any of the four checks is undecided."""
+    return _verdicts(record_id, verify_example(record_id, VERDICT_CHECKS, limits).checks)
+
+
+def _verdicts(record_id: str, checks) -> tuple:
+    """The VERDICT_CHECKS values computed by the given checks of one record."""
+    by_name = {c.name: c for c in checks}
+    for name in VERDICT_CHECKS:
+        c = by_name[name]
+        if c.status == "inconclusive":
+            raise Inconclusive(f"{record_id} {name}: {c.note or 'inconclusive'}")
+    return (
+        by_name["regular"].computed,
+        by_name["geom_normal"].computed["geom_normal"],
+        by_name["geom_integral"].computed["geom_integral"],
+        by_name["k2"].computed,
+    )
 
 
 @dataclass
@@ -724,22 +737,20 @@ class Summary:
 def verify_all(
     p: int | None = None,
     limits: Limits | None = None,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> Summary:
     """Verify every in-scope record (optionally restricted to one
-    characteristic), in the fixed catalogue order."""
+    characteristic), in the fixed catalogue order, on the calling thread.
+    threads must be 1: the work is pure Python under the interpreter lock,
+    so worker threads would only add overhead."""
+    if threads != 1:
+        raise ValueError(f"threads={threads}: records run on the calling thread only")
     problems = coverage_selftest()
     if problems:
         raise RuntimeError("catalogue self-test failed: " + "; ".join(problems))
     ids = [rid for rid in RECORD_ORDER if p is None or _RECORDS[rid].expected.p == p]
-    if threads is None:
-        threads = int(os.environ.get("DPV_THREADS", "1"))
     t0 = time.perf_counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda r: verify_example(r, None, limits), ids))
-    else:
-        reports = [verify_example(rid, None, limits) for rid in ids]
+    reports = [verify_example(rid, None, limits) for rid in ids]
     skipped = [
         (row.row, row.reason)
         for row in OUT_OF_SCOPE

@@ -74,7 +74,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    summary = verify_all(p=args.p, limits=_limits(args), threads=args.threads)
+    summary = verify_all(p=args.p, limits=_limits(args))
     outdir = Path(args.json) if args.json else None
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -180,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--p", type=int, choices=(2, 3), help="restrict to one characteristic")
     pa.add_argument("--json", help="write per-record reports into this directory")
     pa.add_argument("--limit-pairs", type=int)
-    pa.add_argument("--threads", type=int, help="worker threads (default DPV_THREADS or 1)")
     pa.add_argument("--timings", action="store_true")
     pa.set_defaults(func=_cmd_verify_all)
 

@@ -315,20 +315,18 @@ def dimension(
     limits: Limits | None = None,
 ) -> int:
     """Krull dimension of the affine zero set over the algebraic closure of
-    F_p(params): the largest variable set independent modulo the initial
-    ideal.  Returns -1 for the unit ideal, ngeom for the zero ideal."""
-    n = ring.ngeom
+    F_p(params).  Returns -1 for the unit ideal, ngeom for the zero ideal."""
     if order is None:
-        order = grevlex(n)
-    G = buchberger(gens, order, limits)
-    if not G:
-        return n
-    if len(G) == 1 and G[0].is_constant():
-        return -1
-    supports = []
-    for g in G:
-        lm = g.lead(order)[0]
-        supports.append(frozenset(i for i, x in enumerate(lm) if x))
+        order = grevlex(ring.ngeom)
+    return dimension_of_basis(buchberger(gens, order, limits), ring.ngeom, order)
+
+
+def dimension_of_basis(G: list[Polynomial], n: int, order: MonomialOrder) -> int:
+    """dimension() read off a Groebner basis G under order: the largest
+    variable set independent modulo the initial ideal.  G may be a basis of
+    any ideal with the same radical, since the dimension depends only on the
+    zero set (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 9.3)."""
+    supports = [frozenset(i for i, x in enumerate(g.lead(order)[0]) if x) for g in G]
     for size in range(n, -1, -1):
         for combo in itertools.combinations(range(n), size):
             s = frozenset(combo)
@@ -344,11 +342,15 @@ def vector_space_dimension(
     limits: Limits | None = None,
 ) -> int:
     """K-dimension of the quotient by a zero-dimensional ideal (its degree)."""
-    n = ring.ngeom
     if order is None:
-        order = grevlex(n)
-    G = buchberger(gens, order, limits)
-    if len(G) == 1 and G[0].is_constant() and not G[0].is_zero():
+        order = grevlex(ring.ngeom)
+    return degree_of_basis(buchberger(gens, order, limits), ring.ngeom, order)
+
+
+def degree_of_basis(G: list[Polynomial], n: int, order: MonomialOrder) -> int:
+    """vector_space_dimension() read off a Groebner basis G under order: the
+    number of standard monomials."""
+    if len(G) == 1 and G[0].is_constant():
         return 0
     leads = [g.lead(order)[0] for g in G]
     caps = [None] * n

@@ -156,9 +156,6 @@ class Polynomial:
             n >>= 1
         return out
 
-    def scale(self, c: Coefficient) -> "Polynomial":
-        return self * c
-
     def clear_denominators(self) -> "Polynomial":
         """f times the lcm of its coefficient denominators: every coefficient
         of the result lies in F_p[params], and the factor is a nonzero

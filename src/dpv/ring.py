@@ -49,10 +49,6 @@ def is_prime(n: int) -> bool:
 PP = dict  # alias for readability in signatures
 
 
-def pp_zero() -> PP:
-    return {}
-
-
 def pp_const(c: int, p: int, nvars: int) -> PP:
     c %= p
     if c == 0:
@@ -388,9 +384,6 @@ class Coefficient:
 
     def is_one(self) -> bool:
         return pp_is_const(self.den) and self.num == self.den
-
-    def is_const(self) -> bool:
-        return pp_is_const(self.num) and pp_is_const(self.den)
 
     def is_polynomial(self) -> bool:
         return pp_is_const(self.den)

@@ -23,13 +23,13 @@ from .groebner import (
     Inconclusive,
     Limits,
     buchberger,
-    dimension,
+    degree_of_basis,
+    dimension_of_basis,
     is_unit_ideal,
     projective_is_empty,
     radical_membership,
     reduce as normal_form,
     saturate,
-    vector_space_dimension,
 )
 from .orders import grevlex
 from .parsing import ExtraChartDecl, ModelDecl, parse_poly
@@ -319,10 +319,12 @@ def blow_up(
     g1 = parse_poly(c0.ring, center_texts[0])
     g2 = parse_poly(c0.ring, center_texts[1])
     probe = list(c0.full_equations()) + [g1, g2]
-    d = dimension(probe, c0.ring, limits=limits)
+    order = grevlex(c0.ring.ngeom)
+    basis = buchberger(probe, order, limits)
+    d = dimension_of_basis(basis, c0.ring.ngeom, order)
     if d != 0:
         raise ValueError(f"blow-up center has dimension {d}, expected a closed point")
-    degree = vector_space_dimension(probe, c0.ring, limits=limits)
+    degree = degree_of_basis(basis, c0.ring.ngeom, order)
     chart_a = _blowup_chart(c0, g1, g2, "v", limits)
     chart_b = _blowup_chart(c0, g2, g1, "u", limits)
     # Retain every parent chart, the center chart included: away from the
@@ -592,33 +594,27 @@ class ChartSingularity:
 
 
 def chart_singular_data(chart: Chart, limits: Limits | None = None) -> ChartSingularity:
+    """Dimension of the geometric nonsmooth locus on one chart, read off the
+    p-th root closure basis that is also its certificate: the closure lies
+    between the nonsmooth ideal and its radical, so the dimension agrees."""
     try:
-        gens = nonsmooth_ideal(chart, include_params=False)
-        dim = dimension(gens, chart.ring, limits=limits)
-        basis = pth_root_closure(gens, limits)
-        cert = tuple(str(g) for g in basis)
-        return ChartSingularity(chart.name, chart.provenance, dim, cert)
+        basis = pth_root_closure(nonsmooth_ideal(chart, include_params=False), limits)
     except Inconclusive as exc:
         return ChartSingularity(chart.name, chart.provenance, None, (), str(exc))
-
-
-def geometric_singular_dimension(model: SurfaceModel, limits: Limits | None = None):
-    """Max over charts of the dimension of the geometric nonsmooth locus.
-    Returns (dim or None, per-chart data)."""
-    data = [chart_singular_data(c, limits) for c in model.charts]
-    if any(d.dim is None for d in data):
-        return None, data
-    return max(d.dim for d in data), data
+    n = chart.ring.ngeom
+    dim = dimension_of_basis(basis, n, grevlex(n))
+    return ChartSingularity(chart.name, chart.provenance, dim, tuple(str(g) for g in basis))
 
 
 def is_geometrically_normal(model: SurfaceModel, limits: Limits | None = None):
     """Serre criterion specialised to the catalogue presentations: normal iff
     the geometric singular locus has dimension <= 0 (S2 holds for the
-    hypersurface / complete-intersection charts in use)."""
-    dim, data = geometric_singular_dimension(model, limits)
-    if dim is None:
+    hypersurface / complete-intersection charts in use).  Returns (verdict,
+    per-chart data); the verdict is None when some chart is inconclusive."""
+    data = [chart_singular_data(c, limits) for c in model.charts]
+    if any(d.dim is None for d in data):
         return None, data
-    return dim <= 0, data
+    return max(d.dim for d in data) <= 0, data
 
 
 def geometric_integrality(model: SurfaceModel, assumptions: tuple[str, ...] = (), limits: Limits | None = None):

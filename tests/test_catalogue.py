@@ -2,6 +2,7 @@
 
 import pytest
 
+from dpv import catalogue
 from dpv.catalogue import (
     ALL_CHECKS,
     OUT_OF_SCOPE,
@@ -14,6 +15,7 @@ from dpv.catalogue import (
     verify_example,
 )
 from dpv.groebner import Limits
+from dpv.ring import work_done
 
 JSON_KEYS = {"schema", "id", "checks", "certificates", "expected", "computed", "notes", "timings"}
 
@@ -106,6 +108,8 @@ def test_verify_all_characteristic_filter():
     for rep in summary.reports:
         names = [c.name for c in rep.checks]
         assert names == [c for c in ALL_CHECKS if c != "extras"]
+    with pytest.raises(ValueError):
+        verify_all(p=3, threads=2)
 
 
 def test_out_of_scope_rows_reported_in_char2():
@@ -139,3 +143,32 @@ def test_limit_trip_inside_one_check_marks_only_that_check():
     assert report.check("geom_integral").status == "inconclusive"
     assert "pair limit" in report.check("geom_integral").note
     assert report.check("k2").status == "pass"
+
+
+def test_cross_model_check_never_passes_on_undecided_verdicts(monkeypatch):
+    monkeypatch.setattr(catalogue, "check_regular", lambda model, limits: ("inconclusive", []))
+    extras = verify_example("e2-5-pencil").check("extras")
+    assert extras.status == "inconclusive"
+    assert "regular" in extras.note
+
+
+def test_verify_all_work_stays_below_bound():
+    # deterministic term-product units; computing each basis and verdict
+    # once brought one pass from 189,227 to 170,154
+    before = work_done()
+    summary = verify_all()
+    assert summary.exit_code == 0
+    assert work_done() - before < 175_000
+
+
+def test_cross_model_check_reuses_the_records_own_verdicts(monkeypatch):
+    calls = []
+    real = catalogue.check_regular
+
+    def counted(model, limits):
+        calls.append(model.model_id)
+        return real(model, limits)
+
+    monkeypatch.setattr(catalogue, "check_regular", counted)
+    assert verify_example("e2-5-pencil").status == "pass"
+    assert calls == ["e2-5-pencil", "e2-5-blowup"]

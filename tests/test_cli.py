@@ -1,6 +1,8 @@
 """Command-line behaviour: exit codes, report text, JSON artifacts."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -136,3 +138,23 @@ def test_verify_under_tiny_pair_limit_never_raises(record_id, capsys):
     # inconclusive check and exit code 2, never a traceback
     assert main(["verify", record_id, "--limit-pairs", "1"]) in (0, 2)
     assert f"{record_id}: " in capsys.readouterr().out
+
+
+def test_geom_normal_note_names_the_tripped_limit(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    assert main(["verify", "e1-4", "--limit-pairs", "2", "--json", str(target)]) == 2
+    capsys.readouterr()
+    checks = {c["name"]: c for c in json.loads(target.read_text())["checks"]}
+    assert checks["geom_normal"]["status"] == "inconclusive"
+    assert "pair limit" in checks["geom_normal"]["note"]
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [ln.split("#", 1)[0].strip() for ln in block.splitlines()]
+    commands = [shlex.split(ln)[1:] for ln in lines if ln.startswith("dpv ")]
+    assert len(commands) >= 5
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

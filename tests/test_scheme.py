@@ -3,7 +3,7 @@
 import pytest
 
 from dpv.catalogue import RECORD_ORDER, load_example
-from dpv.groebner import buchberger, is_unit_ideal
+from dpv.groebner import buchberger, dimension, is_unit_ideal
 from dpv.parsing import parse_model, parse_poly, parse_ring
 from dpv.ring import work_done
 from dpv.scheme import (
@@ -15,7 +15,7 @@ from dpv.scheme import (
     check_regular,
     double_cover,
     geometric_integrality,
-    geometric_singular_dimension,
+    is_geometrically_normal,
     jacobian_minors,
     nonsmooth_ideal,
     pth_root_closure,
@@ -203,8 +203,9 @@ def test_regularity_pipeline_positive_and_negative():
 def test_geometric_singularity_vs_regularity():
     # x^2 + s*y^2 + z*w: regular over F_2(s) but geometrically singular
     q = build(QUADRIC, "q")
-    dim, data = geometric_singular_dimension(q, None)
-    assert dim == 0
+    normal, data = is_geometrically_normal(q, None)
+    assert normal is True
+    assert max(d.dim for d in data) == 0
     by_name = {d.name: d for d in data}
     assert by_name["D+(y)"].dim == 0
     assert sorted(by_name["D+(y)"].certificate) == ["w", "x^2 + s", "z"]
@@ -329,3 +330,13 @@ def test_check_regular_work_on_e2_3_stays_fraction_free():
     spent = work_done() - before
     assert verdict == "yes"
     assert spent < 100_000
+
+
+def test_singular_dimension_read_off_closure_basis_is_exact():
+    # the p-th root closure lies between the nonsmooth ideal and its
+    # radical, so its leading monomials give the same dimension
+    for record_id in RECORD_ORDER:
+        _, model = load_example(record_id)
+        for c in model.charts:
+            expected = dimension(nonsmooth_ideal(c, include_params=False), c.ring)
+            assert chart_singular_data(c).dim == expected, (record_id, c.name)
