@@ -588,7 +588,14 @@ def _check_regular(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResu
         }
         for r in per_chart
     ]
-    return CheckResult("regular", status, expected=expected, computed=verdict, certificate=cert)
+    return CheckResult(
+        "regular",
+        status,
+        expected=expected,
+        computed=verdict,
+        certificate=cert,
+        note="; ".join(f"{r.name}: {r.detail}" for r in per_chart if r.verdict == "inconclusive"),
+    )
 
 
 def _check_geom_normal(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:

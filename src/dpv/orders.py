@@ -15,7 +15,8 @@ def grevlex_key(e):
     return (sum(e), tuple(map(neg, reversed(e))))
 
 
-def _grevlex_rkey(e):
+def grevlex_rkey(e):
+    """A key whose ascending order is grevlex_key's descending order."""
     return (-sum(e), e[::-1])
 
 
@@ -43,11 +44,11 @@ class MonomialOrder:
         """A key whose ascending order is key's descending order, so a
         min-heap of rkeys pops the largest monomial first."""
         if self.kind == "grevlex":
-            return _grevlex_rkey(e)
+            return grevlex_rkey(e)
         if self.kind == "lex":
             return tuple(map(neg, e))
         eb, rest = self._split(e)
-        return (_grevlex_rkey(eb), _grevlex_rkey(rest))
+        return (grevlex_rkey(eb), grevlex_rkey(rest))
 
     @cached_property
     def _rest(self):

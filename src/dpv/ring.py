@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from operator import add, ge, sub
 
-from .orders import grevlex_key
+from .orders import grevlex_key, grevlex_rkey
 
 
 class _Work(threading.local):
@@ -99,18 +101,22 @@ def pp_scale(a: PP, c: int, p: int) -> PP:
 
 
 def pp_mul(a: PP, b: PP, p: int) -> PP:
+    """Product of parameter polynomials.  Keys come out in the order of the
+    double loop over a then b, reduced and cancelled term by term: callers'
+    work units (see _uv_content) depend on that order."""
     if not a or not b:
         return {}
     _WORK.n += len(a) * len(b)
     out: PP = {}
+    get = out.get
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            v = (out.get(e, 0) + ca * cb) % p
+            e = tuple(map(add, ea, eb))
+            v = (get(e, 0) + ca * cb) % p
             if v:
                 out[e] = v
             else:
-                out.pop(e, None)
+                del out[e]
     return out
 
 
@@ -124,23 +130,49 @@ def pp_monic(a: PP, p: int) -> PP:
 
 
 def pp_divexact(a: PP, b: PP, p: int) -> PP:
-    """Exact division a/b; raises ArithmeticError when b does not divide a."""
+    """Exact division a/b; raises ArithmeticError when b does not divide a.
+
+    Heap division (Monagan & Pearce): the remainder's terms sit in a dict and
+    their monomials in a min-heap on the reversed grevlex key, so its leading
+    term is a pop rather than a scan.  Entries whose monomial has left the
+    dict (cancelled) are skipped on pop; every new term is smaller than the
+    term just divided, so no processed monomial comes back.  Each quotient
+    term charges len(b) units, as the product q_term * b would."""
     if not b:
         raise ZeroDivisionError("parameter polynomial division by zero")
     if not a:
         return {}
     be, bc = pp_lead(b)
     binv = pow(bc, -1, p)
-    q: PP = {}
+    tail = [(e, c) for e, c in b.items() if e != be]
+    units = len(b)
     r = dict(a)
+    heap = [(grevlex_rkey(e), e) for e in r]
+    heapify(heap)
+    q: PP = {}
     while r:
-        re, rc = pp_lead(r)
-        de = tuple(x - y for x, y in zip(re, be))
-        if any(x < 0 for x in de):
+        re = heappop(heap)[1]
+        rc = r.pop(re, 0)
+        if not rc:
+            continue
+        if not all(map(ge, re, be)):
             raise ArithmeticError("inexact parameter polynomial division")
-        qc = (rc * binv) % p
+        de = tuple(map(sub, re, be))
+        qc = rc * binv % p
         q[de] = qc
-        r = pp_sub(r, pp_mul({de: qc}, b, p), p)
+        _WORK.n += units
+        for eb, cb in tail:
+            e = tuple(map(add, de, eb))
+            old = r.get(e)
+            if old is None:
+                r[e] = -qc * cb % p
+                heappush(heap, (grevlex_rkey(e), e))
+                continue
+            v = (old - qc * cb) % p
+            if v:
+                r[e] = v
+            else:
+                del r[e]
     return q
 
 
@@ -204,6 +236,10 @@ def _from_univar(u: dict[int, PP], i: int, p: int) -> PP:
 
 
 def _uv_content(u: dict[int, PP], p: int) -> PP:
+    """gcd of the coefficients, stopping at the first constant gcd.  That
+    early exit makes the work units depend on the iteration order of u, and
+    so on the key order of the parameter-polynomial dicts that built it: a
+    kernel rewrite (pp_mul, pp_divexact, ...) must keep insertion order."""
     g: PP = {}
     for coeff in u.values():
         g = pp_gcd(g, coeff, p)
@@ -329,10 +365,12 @@ class Coefficient:
     When both operands are nonzero constants of F_p, *, / and - take an
     integer fast path mod p.  It charges work_done() exactly what the general
     path's pp_mul calls would (2 units for * and /, none for -), so work
-    budgets trip at the same step either way.
+    budgets trip at the same step either way.  The residue of a nonzero
+    constant is found once, at construction, and kept in fp (None for every
+    other coefficient).
     """
 
-    __slots__ = ("p", "num", "den", "_hash")
+    __slots__ = ("p", "num", "den", "fp")
 
     def __init__(self, p: int, num: PP, den: PP, reduced: bool = False):
         if not den:
@@ -360,7 +398,7 @@ class Coefficient:
         self.p = p
         self.num = num
         self.den = den
-        self._hash = None
+        self.fp = _fp_value(num, den)
 
     # -- constructors -------------------------------------------------------
 
@@ -407,7 +445,7 @@ class Coefficient:
         return Coefficient(self.p, pp_neg(self.num, self.p), self.den, reduced=True)
 
     def __sub__(self, other: "Coefficient") -> "Coefficient":
-        a, b = _fp_value(self), _fp_value(other)
+        a, b = self.fp, other.fp
         if a is None or b is None:
             return self + (-other)
         v = (a - b) % self.p
@@ -417,7 +455,7 @@ class Coefficient:
         p = self.p
         if not self.num or not other.num:
             return Coefficient.zero(p, _nparams_of(self))
-        a, b = _fp_value(self), _fp_value(other)
+        a, b = self.fp, other.fp
         if a is not None and b is not None:
             _WORK.n += 2
             return Coefficient(p, dict.fromkeys(self.den, a * b % p), self.den, reduced=True)
@@ -429,7 +467,7 @@ class Coefficient:
         if not other.num:
             raise ZeroDivisionError("division by zero coefficient")
         p = self.p
-        a, b = _fp_value(self), _fp_value(other)
+        a, b = self.fp, other.fp
         if a is not None and b is not None:
             _WORK.n += 2
             v = a * pow(b, -1, p) % p
@@ -474,11 +512,7 @@ class Coefficient:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(
-                (self.p, frozenset(self.num.items()), frozenset(self.den.items()))
-            )
-        return self._hash
+        return hash((self.p, frozenset(self.num.items()), frozenset(self.den.items())))
 
     def __repr__(self):
         return f"Coefficient({self.format(None)})"
@@ -497,14 +531,13 @@ def _zexp(a: PP):
     return (0,) * len(next(iter(a)))
 
 
-def _fp_value(c: Coefficient) -> int | None:
-    """The residue of a nonzero constant coefficient, None otherwise: a
-    constant is {0: v}/{0: 1}."""
-    den = c.den
-    if len(den) == 1 and len(c.num) == 1:
+def _fp_value(num: PP, den: PP) -> int | None:
+    """The residue of the nonzero constant num/den, None for any other
+    reduced fraction: a constant is {0: v}/{0: 1}."""
+    if len(den) == 1 and len(num) == 1:
         for e in den:
             if not any(e):
-                return c.num.get(e)
+                return num.get(e)
     return None
 
 

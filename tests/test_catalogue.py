@@ -145,6 +145,14 @@ def test_limit_trip_inside_one_check_marks_only_that_check():
     assert report.check("k2").status == "pass"
 
 
+def test_regular_note_names_the_tripped_limit():
+    check = verify_example("e1-1-p3", ("regular",), Limits(max_pairs=1)).check("regular")
+    assert check.status == "inconclusive"
+    undecided = [c["chart"] for c in check.certificate if c["verdict"] == "inconclusive"]
+    assert undecided
+    assert check.note == "; ".join(f"{name}: pair limit 1 exceeded" for name in undecided)
+
+
 def test_cross_model_check_never_passes_on_undecided_verdicts(monkeypatch):
     monkeypatch.setattr(catalogue, "check_regular", lambda model, limits: ("inconclusive", []))
     extras = verify_example("e2-5-pencil").check("extras")

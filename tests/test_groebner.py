@@ -300,6 +300,20 @@ def test_work_units_exact_over_f2_s():
     assert spent == 298
 
 
+# two parameters: the gcds of the basis build run the multi-variable
+# pseudo-remainder path (_uv_prem, _uv_content), whose units depend on the
+# key order of the products; a kernel that reduces mod p only at the end
+# keeps every value but spends 6,151 here
+F5ST_RING = "ring p=5 geom x y z params s t"
+F5ST_GENS = ("2*x^3+x^2*z+(t+1)*x+s+1", "2*x^2*z+x*z+2")
+
+
+def test_work_units_exact_over_f5_s_t():
+    ring = parse_ring(F5ST_RING)
+    spent, G = _work(lambda: buchberger(P(ring, *F5ST_GENS), grevlex(ring.ngeom)))
+    assert (spent, len(G)) == (6_143, 3)
+
+
 # (allowance, charge call that trips, budget left after it); the second
 # allowance of each ring is one unit short of finishing the reduction
 @pytest.mark.parametrize("ring_text, gens, query, allowance, steps, left", [

@@ -4,16 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpv import ring
 from dpv.ring import (
     Coefficient,
     RingContext,
+    pp_add,
     pp_diff,
     pp_divexact,
     pp_gcd,
     pp_is_const,
     pp_lead,
     pp_mul,
+    pp_neg,
     pp_pth_root,
+    work_done,
 )
 
 
@@ -117,6 +121,72 @@ def test_pp_diff_leibniz(a, b):
                 elif e in total:
                     del total[e]
         assert left == total
+
+
+# -- the kernels against the textbook loops they replaced ---------------------
+
+
+def reference_mul(a, b, p):
+    """Schoolbook product: a's terms outer, b's inner, reduced and cancelled
+    term by term."""
+    if not a or not b:
+        return {}
+    ring._WORK.n += len(a) * len(b)
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            v = (out.get(e, 0) + ca * cb) % p
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+    return out
+
+
+def reference_divexact(a, b, p):
+    """Exact division by scanning the remainder for its grevlex lead and
+    subtracting a whole product per quotient term."""
+    if not a:
+        return {}
+    be, bc = pp_lead(b)
+    binv = pow(bc, -1, p)
+    q = {}
+    r = dict(a)
+    while r:
+        re, rc = pp_lead(r)
+        de = tuple(x - y for x, y in zip(re, be))
+        if any(x < 0 for x in de):
+            raise ArithmeticError("inexact parameter polynomial division")
+        qc = (rc * binv) % p
+        q[de] = qc
+        r = pp_add(r, pp_neg(reference_mul({de: qc}, b, p), p), p)
+    return q
+
+
+def _outcome(fn, *args):
+    """(result items in order or the error type, work units spent)."""
+    before = work_done()
+    try:
+        got = list(fn(*args).items())
+    except ArithmeticError as exc:
+        got = type(exc)
+    return got, work_done() - before
+
+
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), nparams=st.integers(1, 3))
+@settings(deadline=None, max_examples=200)
+def test_kernels_match_reference(data, p, nparams):
+    a = data.draw(pps(p, nparams, maxterms=6))
+    b = data.draw(pps(p, nparams, maxterms=4).filter(bool))
+    c = data.draw(pps(p, nparams, maxterms=2))
+    assert _outcome(pp_mul, a, b, p) == _outcome(reference_mul, a, b, p)
+    assert _outcome(pp_mul, b, a, p) == _outcome(reference_mul, b, a, p)
+    # a*b divides exactly; a*b + c and a mostly do not, and an inexact
+    # division must raise after spending the same units
+    ab = reference_mul(a, b, p)
+    for num in (ab, pp_add(ab, c, p), a):
+        assert _outcome(pp_divexact, num, b, p) == _outcome(reference_divexact, num, b, p)
 
 
 def test_coefficient_diff_quotient_rule():
