@@ -58,9 +58,6 @@ class MonomialOrder:
         """(block exponents, the other exponents) for an "elim" order."""
         return tuple(e[i] for i in self.block), tuple(e[i] for i in self._rest)
 
-    def sort_terms(self, exps, reverse: bool = True):
-        return sorted(exps, key=self.key, reverse=reverse)
-
 
 def grevlex(n: int) -> MonomialOrder:
     return MonomialOrder("grevlex", n)

@@ -362,12 +362,20 @@ class Coefficient:
     The denominator is monic, numerator and denominator are coprime, so the
     representation is canonical and __eq__ is structural.
 
+    * and / keep that form without a gcd of the products: both operands are
+    already coprime, so cross-cancelling each numerator against the other
+    denominator before multiplying leaves a reduced result (see _cross).
+    inverse() only swaps numerator and denominator and rescales, since the
+    two are coprime already.  __add__ still takes one gcd of the whole sum.
+
     When both operands are nonzero constants of F_p, *, / and - take an
     integer fast path mod p.  It charges work_done() exactly what the general
     path's pp_mul calls would (2 units for * and /, none for -), so work
-    budgets trip at the same step either way.  The residue of a nonzero
-    constant is found once, at construction, and kept in fp (None for every
-    other coefficient).
+    budgets trip at the same step either way, and it returns a shared
+    constant from a per-(p, nparams) table instead of building one: no
+    operation mutates num or den in place, so coefficients may alias.  The
+    residue of a nonzero constant is found once, at construction, and kept
+    in fp (None for every other coefficient).
     """
 
     __slots__ = ("p", "num", "den", "fp")
@@ -381,20 +389,13 @@ class Coefficient:
             elif len(den) == 1 and not any(z := next(iter(den))):
                 # constant denominator: already coprime to num, only make it
                 # monic (pp_gcd would return 1 without charging any work)
-                d = den[z]
-                if d != 1:
-                    num = pp_scale(num, pow(d, -1, p), p)
-                    den = {z: 1}
+                num, den = _monic_den(p, num, den, den[z])
             else:
                 g = pp_gcd(num, den, p)
                 if not pp_is_const(g):
                     num = pp_divexact(num, g, p)
                     den = pp_divexact(den, g, p)
-                _, lc = pp_lead(den)
-                if lc != 1:
-                    inv = pow(lc, -1, p)
-                    num = pp_scale(num, inv, p)
-                    den = pp_scale(den, inv, p)
+                num, den = _monic_den(p, num, den, pp_lead(den)[1])
         self.p = p
         self.num = num
         self.den = den
@@ -448,38 +449,38 @@ class Coefficient:
         a, b = self.fp, other.fp
         if a is None or b is None:
             return self + (-other)
-        v = (a - b) % self.p
-        return Coefficient(self.p, dict.fromkeys(self.den, v) if v else {}, self.den, reduced=True)
+        return _fp_consts(self.p, self.den)[(a - b) % self.p]
 
     def __mul__(self, other: "Coefficient") -> "Coefficient":
+        if not self.num:
+            return self
+        if not other.num:
+            return other
         p = self.p
-        if not self.num or not other.num:
-            return Coefficient.zero(p, _nparams_of(self))
         a, b = self.fp, other.fp
         if a is not None and b is not None:
             _WORK.n += 2
-            return Coefficient(p, dict.fromkeys(self.den, a * b % p), self.den, reduced=True)
-        num = pp_mul(self.num, other.num, p)
-        den = pp_mul(self.den, other.den, p)
-        return Coefficient(p, num, den)
+            return _fp_consts(p, self.den)[a * b % p]
+        return _cross(p, self.num, self.den, other.num, other.den)
 
     def __truediv__(self, other: "Coefficient") -> "Coefficient":
         if not other.num:
             raise ZeroDivisionError("division by zero coefficient")
+        if not self.num:
+            return self
         p = self.p
         a, b = self.fp, other.fp
         if a is not None and b is not None:
             _WORK.n += 2
-            v = a * pow(b, -1, p) % p
-            return Coefficient(p, dict.fromkeys(self.den, v), self.den, reduced=True)
-        num = pp_mul(self.num, other.den, p)
-        den = pp_mul(self.den, other.num, p)
-        return Coefficient(p, num, den)
+            return _fp_consts(p, self.den)[a * pow(b, -1, p) % p]
+        return _cross(p, self.num, self.den, other.den, other.num)
 
     def inverse(self) -> "Coefficient":
         if not self.num:
             raise ZeroDivisionError("inverse of zero")
-        return Coefficient(self.p, self.den, self.num)
+        p = self.p
+        num, den = _monic_den(p, self.den, self.num, pp_lead(self.num)[1])
+        return Coefficient(p, num, den, reduced=True)
 
     # -- calculus ------------------------------------------------------------
 
@@ -531,6 +532,57 @@ def _zexp(a: PP):
     return (0,) * len(next(iter(a)))
 
 
+def _cross(p: int, a: PP, b: PP, c: PP, d: PP) -> Coefficient:
+    """(a/b)(c/d) in canonical form, for nonzero a/b and c/d in lowest terms
+    with b monic (Henrici; Knuth, TAOCP 2, 4.5.1).
+
+    Since gcd(a, b) = gcd(c, d) = 1, dividing out g1 = gcd(a, d) and
+    g2 = gcd(c, b) leaves (a/g1)(c/g2) coprime to (b/g2)(d/g1): the gcds run
+    on the operands, not on the products, and no gcd of the result is
+    needed.  A constant denominator shares no factor, so its gcd is skipped
+    outright.  b and both gcds are monic, so the leading coefficient of the
+    new denominator is d's."""
+    if not pp_is_const(d):
+        g = pp_gcd(a, d, p)
+        if not pp_is_const(g):
+            a = pp_divexact(a, g, p)
+            d = pp_divexact(d, g, p)
+    if not pp_is_const(b):
+        g = pp_gcd(c, b, p)
+        if not pp_is_const(g):
+            c = pp_divexact(c, g, p)
+            b = pp_divexact(b, g, p)
+    num, den = _monic_den(p, pp_mul(a, c, p), pp_mul(b, d, p), pp_lead(d)[1])
+    return Coefficient(p, num, den, reduced=True)
+
+
+def _monic_den(p: int, num: PP, den: PP, lc: int) -> tuple[PP, PP]:
+    """num/den rescaled to a monic denominator, where lc is den's leading
+    coefficient."""
+    if lc == 1:
+        return num, den
+    inv = pow(lc, -1, p)
+    return pp_scale(num, inv, p), pp_scale(den, inv, p)
+
+
+# (p, unit monomial (0, ..., 0)) -> the p constants of F_p, zero included,
+# indexed by residue; filled on first use and never changed after
+_FP_CONSTS: dict[tuple[int, tuple[int, ...]], list[Coefficient]] = {}
+
+
+def _fp_consts(p: int, den: PP) -> list[Coefficient]:
+    """The shared constants of F_p over the parameter slots of den, a
+    constant's denominator {(0, ..., 0): 1}."""
+    z = next(iter(den))
+    table = _FP_CONSTS.get((p, z))
+    if table is None:
+        table = [
+            Coefficient(p, {z: v} if v else {}, den, reduced=True) for v in range(p)
+        ]
+        _FP_CONSTS[(p, z)] = table
+    return table
+
+
 def _fp_value(num: PP, den: PP) -> int | None:
     """The residue of the nonzero constant num/den, None for any other
     reduced fraction: a constant is {0: v}/{0: 1}."""
@@ -539,10 +591,6 @@ def _fp_value(num: PP, den: PP) -> int | None:
             if not any(e):
                 return num.get(e)
     return None
-
-
-def _nparams_of(c: Coefficient) -> int:
-    return len(next(iter(c.den)))
 
 
 def format_pp(a: PP, names) -> str:

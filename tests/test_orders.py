@@ -57,12 +57,6 @@ def test_lex_classic_comparisons():
     assert order.key((1, 1, 0)) > order.key((1, 0, 9))
 
 
-def test_sort_terms():
-    order = grevlex(2)
-    exps = [(0, 0), (2, 0), (1, 1), (0, 1)]
-    assert order.sort_terms(exps) == [(2, 0), (1, 1), (0, 1), (0, 0)]
-
-
 def test_elimination_requires_block():
     with pytest.raises(ValueError):
         elimination(3, ())

@@ -1,5 +1,8 @@
 """Coefficient field arithmetic: canonical fractions of parameter polynomials."""
 
+import operator
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,10 +24,10 @@ from dpv.ring import (
 )
 
 
-def pps(p, nparams=2, maxdeg=3, maxterms=3):
+def pps(p, nparams=2, maxdeg=3, maxterms=3, minterms=0):
     exp = st.tuples(*([st.integers(0, maxdeg)] * nparams))
     pair = st.tuples(exp, st.integers(1, p - 1))
-    return st.lists(pair, max_size=maxterms).map(dict)
+    return st.lists(pair, min_size=minterms, max_size=maxterms).map(dict)
 
 
 def coeffs(p, nparams=2):
@@ -187,6 +190,81 @@ def test_kernels_match_reference(data, p, nparams):
     ab = reference_mul(a, b, p)
     for num in (ab, pp_add(ab, c, p), a):
         assert _outcome(pp_divexact, num, b, p) == _outcome(reference_divexact, num, b, p)
+
+
+# -- cross-cancelled * and / against the whole-product normalisation --------
+
+
+def reference_mul_coeff(a, b):
+    """(a*b) by multiplying whole numerators and denominators, then one gcd."""
+    return Coefficient(a.p, pp_mul(a.num, b.num, a.p), pp_mul(a.den, b.den, a.p))
+
+
+def reference_div_coeff(a, b):
+    return Coefficient(a.p, pp_mul(a.num, b.den, a.p), pp_mul(a.den, b.num, a.p))
+
+
+def _assert_canonical(c):
+    _, lc = pp_lead(c.den)
+    assert lc == 1
+    if c.num:
+        assert pp_is_const(pp_gcd(c.num, c.den, c.p))
+
+
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), nparams=st.integers(1, 3))
+@settings(deadline=None, max_examples=100)
+def test_cross_cancelled_arithmetic_matches_whole_product(data, p, nparams):
+    # a shared factor f puts common factors across a and b, so the
+    # cancellation of a numerator against the other denominator is exercised
+    f, x, z = (data.draw(pps(p, nparams, maxdeg=2, maxterms=2)) for _ in range(3))
+    y, w = (data.draw(pps(p, nparams, maxdeg=2, maxterms=2, minterms=1)) for _ in range(2))
+    f = f or {(0,) * nparams: 1}
+    a = Coefficient(p, pp_mul(x, f, p), y)
+    b = Coefficient(p, z, pp_mul(w, f, p))
+    for u, v in ((a, b), (b, a), (a, a)):
+        got = u * v
+        assert got == reference_mul_coeff(u, v)
+        _assert_canonical(got)
+        if v.num:
+            got = u / v
+            assert got == reference_div_coeff(u, v)
+            _assert_canonical(got)
+        if u.num:
+            got = u.inverse()
+            assert got == Coefficient(p, u.den, u.num)
+            _assert_canonical(got)
+
+
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+REFERENCE_OPS = {"+": operator.add, "-": lambda u, v: u + (-v), "*": reference_mul_coeff,
+                 "/": reference_div_coeff}
+
+
+def test_fp_constants_are_shared_and_stay_intact():
+    p, n = 7, 2
+    c = [Coefficient.from_const(v, p, n) for v in range(p)]
+    # equal F_p results of *, / and - are one object
+    assert c[3] * c[5] is c[5] / c[3].inverse() is c[4] - c[3] is c[2] * c[4]
+    assert c[3] - c[3] is c[6] - c[6] is c[3] * c[2] - c[6]
+    # a long mixed chain: every value, checked after the whole chain has
+    # run, still equals what the whole-product reference gave at its step
+    s = Coefficient.from_param(0, p, n)
+    pool = c + [s, s + c[1], (s + c[2]).inverse()]
+    rng = random.Random(0)
+    seen = []
+    for _ in range(600):
+        u, v = rng.choice(pool), rng.choice(pool)
+        op = rng.choice("+-*/")
+        if op == "/" and v.is_zero():
+            continue
+        got = OPS[op](u, v)
+        ref = REFERENCE_OPS[op](u, v)
+        assert got == ref
+        seen.append((got, dict(ref.num), dict(ref.den)))
+        if len(got.num) <= 3 and len(got.den) <= 3:
+            pool.append(got)
+    assert all(g.num == num and g.den == den for g, num, den in seen)
+    assert [x.fp for x in c] == [None] + list(range(1, p))
 
 
 def test_coefficient_diff_quotient_rule():
