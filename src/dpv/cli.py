@@ -40,10 +40,13 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _limits(args) -> Limits | None:
-    if getattr(args, "limit_pairs", None) is not None:
-        return replace(Limits.from_env(), max_pairs=args.limit_pairs)
-    return None
+def _limits(args) -> Limits:
+    """The environment's limits, with --limit-pairs in place of the pair
+    limit when given.  Raises ValueError for a malformed DPV_* value."""
+    limits = Limits.from_env()
+    if args.limit_pairs is not None:
+        limits = replace(limits, max_pairs=args.limit_pairs)
+    return limits
 
 
 def _dump(payload: dict, path: Path):
@@ -63,7 +66,7 @@ def _print_report(report, timings: bool):
 def _cmd_verify(args) -> int:
     checks = _parse_checks(args.check) if args.check else None
     try:
-        report = verify_example(args.record_id, checks, _limits(args))
+        report = verify_example(args.record_id, checks, args.limits)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 1
@@ -74,7 +77,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    summary = verify_all(p=args.p, limits=_limits(args))
+    summary = verify_all(p=args.p, limits=args.limits)
     outdir = Path(args.json) if args.json else None
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -139,20 +142,35 @@ def _cmd_lattice(args) -> int:
     return 0
 
 
-def _cmd_groebner(args) -> int:
-    ring = None
-    for line in Path(args.ring).read_text().splitlines():
+def _read_ring(path: str):
+    for line in Path(path).read_text().splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
-            ring = parse_ring(line)
-            break
-    if ring is None:
-        print("ring file contains no declaration", file=sys.stderr)
-        return 1
-    gens = parse_ideal_lines(ring, Path(args.ideal).read_text())
+            return parse_ring(line)
+    raise ValueError("ring file contains no declaration")
+
+
+def _reject(path: str, exc: Exception) -> int:
+    """One stderr line naming the input file; exit code 1."""
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    print(f"{path}: {reason}", file=sys.stderr)
+    return 1
+
+
+def _cmd_groebner(args) -> int:
+    # an unreadable file (OSError) or malformed text (ValueError: a bad
+    # token, a non-prime p, a division by zero) is rejected input
+    try:
+        ring = _read_ring(args.ring)
+    except (OSError, ValueError) as exc:
+        return _reject(args.ring, exc)
+    try:
+        gens = parse_ideal_lines(ring, Path(args.ideal).read_text())
+    except (OSError, ValueError) as exc:
+        return _reject(args.ideal, exc)
     order = lex(ring.ngeom) if args.order == "lex" else grevlex(ring.ngeom)
     try:
-        basis = buchberger(gens, order, _limits(args))
+        basis = buchberger(gens, order, args.limits)
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 2
@@ -226,6 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(args, "limit_pairs"):
+        # read DPV_* once, before any work, so a malformed value is rejected
+        # input rather than an error deep inside the engine
+        try:
+            args.limits = _limits(args)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 1
     return args.func(args)
 
 

@@ -36,13 +36,17 @@ class Limits:
 
     @classmethod
     def from_env(cls) -> "Limits":
+        """Limits from DPV_PAIR_LIMIT and DPV_STEP_LIMIT; unset or empty
+        variables keep the defaults.  A value that is not an integer raises
+        ValueError naming the variable."""
         kwargs = {}
-        raw = os.environ.get("DPV_PAIR_LIMIT")
-        if raw:
-            kwargs["max_pairs"] = int(raw)
-        raw = os.environ.get("DPV_STEP_LIMIT")
-        if raw:
-            kwargs["max_steps"] = int(raw)
+        for name, key in (("DPV_PAIR_LIMIT", "max_pairs"), ("DPV_STEP_LIMIT", "max_steps")):
+            raw = os.environ.get(name)
+            if raw:
+                try:
+                    kwargs[key] = int(raw)
+                except ValueError:
+                    raise ValueError(f"{name} must be an integer, got {raw!r}") from None
         return cls(**kwargs)
 
 
@@ -79,11 +83,11 @@ def monomial_lcm(a, b):
 
 
 def make_monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
+    dom = f.ring.domain
     _, lc = f.lead(order)
-    if lc.is_one():
+    if dom.is_one(lc):
         return f
-    inv = lc.inverse()
-    return f * inv
+    return f * dom.inverse(lc)
 
 
 def reduce(
@@ -99,10 +103,16 @@ def reduce(
     monomials in a min-heap on order.rkey, so the leading live term is a pop
     rather than a scan.  Entries whose monomial has left the dict (cancelled,
     or a duplicate of a processed term) are skipped on pop; this is exact
-    because every new term is smaller than the term being reduced."""
+    because every new term is smaller than the term being reduced.
+
+    Coefficient arithmetic goes through the ring's domain (ints mod p, or
+    fractions), bound to locals once per call."""
     if isinstance(budget, Limits):
         budget = Budget(budget.max_steps)
     ring = f.ring
+    dom = ring.domain
+    # coefficient operations; add and sub stay the exponent-vector ones
+    csub, cmul, cdiv, cneg, czero = dom.sub, dom.mul, dom.div, dom.neg, dom.is_zero
     rkey = order.rkey
     data = []
     for g in basis:
@@ -127,18 +137,18 @@ def reduce(
         else:
             remainder[e] = c
             continue
-        factor = c / lc
+        factor = cdiv(c, lc)
         delta = tuple(map(sub, e, lm))
         for ge, gc in tail:
             ne = tuple(map(add, ge, delta))
-            v = factor * gc
+            v = cmul(factor, gc)
             old = work.get(ne)
             if old is None:
-                work[ne] = -v
+                work[ne] = cneg(v)
                 heapq.heappush(heap, (rkey(ne), ne))
                 continue
-            v = old - v
-            if v.is_zero():
+            v = csub(old, v)
+            if czero(v):
                 del work[ne]
             else:
                 work[ne] = v
@@ -152,9 +162,9 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     L = monomial_lcm(lmf, lmg)
     af = tuple(x - y for x, y in zip(L, lmf))
     ag = tuple(x - y for x, y in zip(L, lmg))
-    one = ring.coeff(1)
-    mf = Polynomial(ring, {af: one / lcf}, normalized=True)
-    mg = Polynomial(ring, {ag: one / lcg}, normalized=True)
+    dom = ring.domain
+    mf = Polynomial(ring, {af: dom.div(dom.one, lcf)}, normalized=True)
+    mg = Polynomial(ring, {ag: dom.div(dom.one, lcg)}, normalized=True)
     return mf * f - mg * g
 
 

@@ -90,7 +90,7 @@ class _ExprParser:
             # division only by invertible scalars, i.e. parameter expressions
             if not g.is_unit_constant():
                 raise ValueError(f"cannot divide by {g}")
-            f = f * g.constant_coefficient().inverse()
+            f = f * self.ring.domain.inverse(g.constant_coefficient())
         return f
 
     def factor(self) -> Polynomial:

@@ -1,10 +1,12 @@
 """Sparse multivariate polynomials in geometric variables over F_p(params).
 
-Terms map geometric exponent tuples to Coefficient fractions.  Derivations
-exist for both variable sorts: geometric variables differentiate the
-monomials, parameter variables differentiate the coefficients by the quotient
-rule.  Characteristic-p annihilation (d/dx of x^p) falls out of the mod-p
-arithmetic.
+Terms map geometric exponent tuples to coefficients of the ring's domain
+(ring.domain): plain ints mod p in a ring without parameters, Coefficient
+fractions otherwise.  Every coefficient operation goes through the domain.
+Derivations exist for both variable sorts: geometric variables differentiate
+the monomials, parameter variables differentiate the coefficients by the
+quotient rule.  Characteristic-p annihilation (d/dx of x^p) falls out of the
+mod-p arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ class Polynomial:
         if terms is None:
             terms = {}
         if not normalized:
-            terms = {e: c for e, c in terms.items() if not c.is_zero()}
+            is_zero = ring.domain.is_zero
+            terms = {e: c for e, c in terms.items() if not is_zero(c)}
         self.terms = terms
         self._hash = None
         self._lead = None
@@ -42,7 +45,7 @@ class Polynomial:
     def constant(cls, ring: RingContext, c) -> "Polynomial":
         if isinstance(c, int):
             c = ring.coeff(c)
-        if c.is_zero():
+        if ring.domain.is_zero(c):
             return cls.zero(ring)
         return cls(ring, {(0,) * ring.ngeom: c}, normalized=True)
 
@@ -62,8 +65,8 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_coefficient(self) -> Coefficient:
-        return self.terms.get((0,) * self.ring.ngeom, self.ring.coeff_zero())
+    def constant_coefficient(self):
+        return self.terms.get((0,) * self.ring.ngeom, self.ring.domain.zero)
 
     def is_unit_constant(self) -> bool:
         return self.is_constant() and not self.is_zero()
@@ -92,12 +95,17 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        dom = self.ring.domain
+        add, is_zero = dom.add, dom.is_zero
         out = dict(self.terms)
         for e, c in other.terms.items():
             v = out.get(e)
-            v = c if v is None else v + c
-            if v.is_zero():
-                out.pop(e, None)
+            if v is None:
+                out[e] = c
+                continue
+            v = add(v, c)
+            if is_zero(v):
+                del out[e]
             else:
                 out[e] = v
         return Polynomial(self.ring, out, normalized=True)
@@ -105,8 +113,9 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
+        neg = self.ring.domain.neg
         return Polynomial(
-            self.ring, {e: -c for e, c in self.terms.items()}, normalized=True
+            self.ring, {e: neg(c) for e, c in self.terms.items()}, normalized=True
         )
 
     def __sub__(self, other):
@@ -120,23 +129,26 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other):
+        dom = self.ring.domain
+        mul = dom.mul
         if isinstance(other, (Coefficient, int)):
-            c = other if isinstance(other, Coefficient) else self.ring.coeff(other)
-            if c.is_zero():
+            c = other if isinstance(other, Coefficient) else dom.const(other)
+            if dom.is_zero(c):
                 return Polynomial.zero(self.ring)
             return Polynomial(
-                self.ring, {e: v * c for e, v in self.terms.items()}, normalized=True
+                self.ring, {e: mul(v, c) for e, v in self.terms.items()}, normalized=True
             )
         if not isinstance(other, Polynomial):
             return NotImplemented
+        add, is_zero = dom.add, dom.is_zero
         out: dict = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                v = ca * cb
+                v = mul(ca, cb)
                 old = out.get(e)
-                v = v if old is None else old + v
-                if v.is_zero():
+                v = v if old is None else add(old, v)
+                if is_zero(v):
                     out.pop(e, None)
                 else:
                     out[e] = v
@@ -160,7 +172,10 @@ class Polynomial:
         """f times the lcm of its coefficient denominators: every coefficient
         of the result lies in F_p[params], and the factor is a nonzero
         element of F_p[params], hence a unit of F_p(params).  f comes back
-        unchanged when its coefficients are already polynomials."""
+        unchanged when its coefficients are already polynomials, as ints mod
+        p always are."""
+        if not self.ring.nparams:
+            return self
         p = self.ring.p
         lcm = None
         for c in self.terms.values():
@@ -183,6 +198,7 @@ class Polynomial:
 
     def diff(self, name: str) -> "Polynomial":
         ring = self.ring
+        dom = ring.domain
         if name in ring.geom:
             i = ring.geom_index(name)
             out: dict = {}
@@ -190,13 +206,13 @@ class Polynomial:
                 k = e[i]
                 if k == 0:
                     continue
-                v = c * ring.coeff(k)
-                if v.is_zero():
+                v = dom.mul(c, dom.const(k))
+                if dom.is_zero(v):
                     continue
                 ne = e[:i] + (k - 1,) + e[i + 1 :]
                 old = out.get(ne)
-                v = v if old is None else old + v
-                if v.is_zero():
+                v = v if old is None else dom.add(old, v)
+                if dom.is_zero(v):
                     out.pop(ne, None)
                 else:
                     out[ne] = v
@@ -214,17 +230,19 @@ class Polynomial:
         and every coefficient a p-th power in F_p(params)."""
         ring = self.ring
         p = ring.p
+        root = ring.domain.pth_root
         out: dict = {}
         for e, c in self.terms.items():
             if any(x % p for x in e):
                 raise ArithmeticError("geometric exponents not divisible by p")
-            out[tuple(x // p for x in e)] = c.pth_root()
+            out[tuple(x // p for x in e)] = root(c)
         return Polynomial(ring, out, normalized=True)
 
     def is_pth_power(self) -> bool:
         p = self.ring.p
+        is_power = self.ring.domain.is_pth_power
         return all(
-            all(x % p == 0 for x in e) and c.is_pth_power()
+            all(x % p == 0 for x in e) and is_power(c)
             for e, c in self.terms.items()
         )
 
@@ -232,8 +250,8 @@ class Polynomial:
 
     def substitute(self, assignments: dict, target_ring: RingContext | None = None) -> "Polynomial":
         """Simultaneous substitution.  Geometric variables map to Polynomials
-        (or ints/Coefficients), parameters map to Coefficients; unmapped
-        variables must exist by name in the target ring."""
+        (or ints/coefficients), parameters map to coefficients or ints;
+        unmapped variables must exist by name in the target ring."""
         ring = self.ring
         if target_ring is None:
             target_ring = ring
@@ -247,10 +265,11 @@ class Polynomial:
             for i, k in enumerate(e):
                 if k:
                     used_geom.add(i)
-            for mon in list(c.num) + list(c.den):
-                for j, k in enumerate(mon):
-                    if k:
-                        used_params.add(j)
+            if ring.nparams:
+                for mon in list(c.num) + list(c.den):
+                    for j, k in enumerate(mon):
+                        if k:
+                            used_params.add(j)
         geom_targets: list[Polynomial | None] = []
         for i, name in enumerate(ring.geom):
             val = assignments.get(name)
@@ -259,15 +278,12 @@ class Polynomial:
                     geom_targets.append(None)
                     continue
                 val = Polynomial.variable(target_ring, name)
-            elif isinstance(val, (int, Coefficient)):
-                val = Polynomial.constant(
-                    target_ring,
-                    val if isinstance(val, Coefficient) else target_ring.coeff(val),
-                )
+            elif not isinstance(val, Polynomial):
+                val = Polynomial.constant(target_ring, val)
             elif val.ring != target_ring:
                 raise ValueError("substitution targets live in different rings")
             geom_targets.append(val)
-        param_targets: list[Coefficient | None] = []
+        param_targets: list = []
         for j, name in enumerate(ring.params):
             val = assignments.get(name)
             if val is None:
@@ -291,10 +307,12 @@ class Polynomial:
                 pow_cache[key] = got
             return got
 
+        tdom = target_ring.domain
         result = Polynomial.zero(target_ring)
         for e, c in self.terms.items():
-            cc = _substitute_coeff(c, param_targets, target_ring)
-            if cc.is_zero():
+            # a coefficient without parameters is an int mod p
+            cc = _substitute_coeff(c, param_targets, tdom) if ring.nparams else tdom.const(c)
+            if tdom.is_zero(cc):
                 continue
             term = Polynomial.constant(target_ring, cc)
             for i, k in enumerate(e):
@@ -314,12 +332,13 @@ class Polynomial:
         if ring.weights[i] != 1:
             raise ValueError("dehomogenization requires a weight-1 variable")
         new_ring = ring.without_geom_var(name)
+        add, is_zero = ring.domain.add, ring.domain.is_zero
         out: dict = {}
         for e, c in self.terms.items():
             ne = e[:i] + e[i + 1 :]
             old = out.get(ne)
-            v = c if old is None else old + c
-            if v.is_zero():
+            v = c if old is None else add(old, c)
+            if is_zero(v):
                 out.pop(ne, None)
             else:
                 out[ne] = v
@@ -365,6 +384,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         names = self.ring.params
+        dom = self.ring.domain
         parts = []
         for e in sorted(self.terms, key=grevlex_key, reverse=True):
             c = self.terms[e]
@@ -374,10 +394,10 @@ class Polynomial:
                     continue
                 nm = self.ring.geom[i]
                 mono.append(nm if x == 1 else f"{nm}^{x}")
-            cs = c.format(names)
+            cs = dom.format(c, names)
             if not mono:
                 parts.append(cs)
-            elif c.is_one():
+            elif dom.is_one(c):
                 parts.append("*".join(mono))
             else:
                 if "+" in cs or ("/" in cs and not cs.startswith("(")):
@@ -389,21 +409,20 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _substitute_coeff(c: Coefficient, targets: list[Coefficient], ring: RingContext) -> Coefficient:
-    num = _eval_pp(c.num, targets, ring)
-    den = _eval_pp(c.den, targets, ring)
-    return num / den
+def _substitute_coeff(c: Coefficient, targets: list, dom):
+    """c with its parameters replaced by targets, in the target domain dom."""
+    return dom.div(_eval_pp(c.num, targets, dom), _eval_pp(c.den, targets, dom))
 
 
-def _eval_pp(a: dict, targets: list[Coefficient], ring: RingContext) -> Coefficient:
-    total = ring.coeff_zero()
+def _eval_pp(a: dict, targets: list, dom):
+    total = dom.zero
     for e, cv in a.items():
-        part = ring.coeff(cv)
+        part = dom.const(cv)
         for i, k in enumerate(e):
             if k:
                 base = targets[i]
                 for _ in range(k):
-                    part = part * base
-        total = total + part
+                    part = dom.mul(part, base)
+        total = dom.add(total, part)
     return total
 

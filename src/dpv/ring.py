@@ -1,20 +1,28 @@
 """Base rings for the toolkit.
 
-Everything downstream works over the field F_p(params): geometric polynomial
-coefficients are reduced fractions of sparse parameter polynomials.  A
-parameter polynomial is a dict mapping exponent tuples (one slot per declared
-parameter) to nonzero residues mod p.  Fractions are kept in canonical form
-(numerator and denominator coprime, denominator monic under a fixed grevlex
-order on the parameters) so that equal field elements compare equal
-structurally.
+Geometric polynomial coefficients live in F_p(params).  Each RingContext
+holds one coefficient domain, chosen by its number of parameters:
+
+* FpDomain, for rings without parameters: coefficients are plain ints in
+  0..p-1.
+* FractionDomain, for rings with parameters: coefficients are Coefficient
+  objects, reduced fractions of sparse parameter polynomials.  A parameter
+  polynomial is a dict mapping exponent tuples (one slot per declared
+  parameter) to nonzero residues mod p.  Fractions are kept in canonical
+  form (numerator and denominator coprime, denominator monic under a fixed
+  grevlex order on the parameters) so that equal field elements compare
+  equal structurally.
+
+Polynomial code talks to ring.domain, never to the coefficient type.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from operator import add, ge, sub
+from operator import add, ge, methodcaller, sub
 
 from .orders import grevlex_key, grevlex_rkey
 
@@ -357,7 +365,9 @@ def pp_gcd(a: PP, b: PP, p: int) -> PP:
 
 
 class Coefficient:
-    """A reduced fraction of parameter polynomials over F_p.
+    """A reduced fraction of parameter polynomials over F_p, the coefficient
+    type of rings with parameters (see FractionDomain; a ring without
+    parameters holds ints mod p instead).
 
     The denominator is monic, numerator and denominator are coprime, so the
     representation is canonical and __eq__ is structural.
@@ -368,14 +378,15 @@ class Coefficient:
     inverse() only swaps numerator and denominator and rescales, since the
     two are coprime already.  __add__ still takes one gcd of the whole sum.
 
-    When both operands are nonzero constants of F_p, *, / and - take an
-    integer fast path mod p.  It charges work_done() exactly what the general
-    path's pp_mul calls would (2 units for * and /, none for -), so work
-    budgets trip at the same step either way, and it returns a shared
-    constant from a per-(p, nparams) table instead of building one: no
-    operation mutates num or den in place, so coefficients may alias.  The
-    residue of a nonzero constant is found once, at construction, and kept
-    in fp (None for every other coefficient).
+    Most coefficients of the catalogue's equations are constants, so when
+    both operands are nonzero constants of F_p, *, / and - take an integer
+    fast path mod p.  It charges work_done() exactly what the general path's
+    pp_mul calls would (2 units for * and /, none for -), so work budgets
+    trip at the same step either way, and it returns a shared constant from
+    a per-(p, nparams) table instead of building one: no operation mutates
+    num or den in place, so coefficients may alias.  The residue of a
+    nonzero constant is found once, at construction, and kept in fp (None
+    for every other coefficient).
     """
 
     __slots__ = ("p", "num", "den", "fp")
@@ -612,6 +623,113 @@ def format_pp(a: PP, names) -> str:
 
 
 # ---------------------------------------------------------------------------
+# coefficient domains
+# ---------------------------------------------------------------------------
+
+
+class FpDomain:
+    """F_p as plain ints in 0..p-1: the coefficients of a ring without
+    parameters.
+
+    A product or quotient of two nonzero elements charges work_done() 2
+    units, what the product of two one-term parameter polynomials charges,
+    so work budgets trip at the same step as for the same ideal written over
+    F_p(params); sums, differences, negation and inverse charge nothing."""
+
+    __slots__ = ("p", "zero", "one")
+
+    is_zero = staticmethod(operator.not_)
+
+    def __init__(self, p: int):
+        self.p = p
+        self.zero = 0
+        self.one = 1
+
+    def const(self, c: int) -> int:
+        return c % self.p
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
+    def neg(self, a: int) -> int:
+        return -a % self.p
+
+    def mul(self, a: int, b: int) -> int:
+        if a and b:
+            _WORK.n += 2
+            return a * b % self.p
+        return 0
+
+    def div(self, a: int, b: int) -> int:
+        if not b:
+            raise ZeroDivisionError("division by zero coefficient")
+        if not a:
+            return 0
+        _WORK.n += 2
+        return a * pow(b, -1, self.p) % self.p
+
+    def inverse(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, -1, self.p)
+
+    @staticmethod
+    def is_one(a: int) -> bool:
+        return a == 1
+
+    @staticmethod
+    def format(a: int, names) -> str:
+        return str(a)
+
+    @staticmethod
+    def pth_root(a: int) -> int:
+        return a  # Frobenius fixes every element of F_p
+
+    @staticmethod
+    def is_pth_power(a: int) -> bool:
+        return True
+
+
+class FractionDomain:
+    """F_p(params) as Coefficient fractions: the coefficients of a ring with
+    parameters.  Every operation is Coefficient's own, reached through the
+    operator or by method name, so a wrapper installed on Coefficient sees
+    each call."""
+
+    __slots__ = ("p", "nparams", "zero", "one")
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    div = staticmethod(operator.truediv)
+    inverse = staticmethod(methodcaller("inverse"))
+    is_zero = staticmethod(methodcaller("is_zero"))
+    is_one = staticmethod(methodcaller("is_one"))
+    pth_root = staticmethod(methodcaller("pth_root"))
+    is_pth_power = staticmethod(methodcaller("is_pth_power"))
+
+    def __init__(self, p: int, nparams: int):
+        self.p = p
+        self.nparams = nparams
+        self.zero = Coefficient.zero(p, nparams)
+        self.one = Coefficient.from_const(1, p, nparams)
+
+    def const(self, c: int) -> Coefficient:
+        return Coefficient.from_const(c, self.p, self.nparams)
+
+    def param(self, i: int) -> Coefficient:
+        return Coefficient.from_param(i, self.p, self.nparams)
+
+    @staticmethod
+    def format(a: Coefficient, names) -> str:
+        return a.format(names)
+
+
+# ---------------------------------------------------------------------------
 # ring context
 # ---------------------------------------------------------------------------
 
@@ -622,6 +740,9 @@ class RingContext:
     variables with weights, parameter variables, and an optional multigrading
     (tuple of weight rows).  grading=None means the single row given by the
     weights; grading=() marks an ungraded (affine chart) ring.
+
+    domain is the coefficient domain, derived from p and the parameters:
+    FpDomain (ints mod p) without parameters, FractionDomain otherwise.
     """
 
     p: int
@@ -629,6 +750,7 @@ class RingContext:
     weights: tuple[int, ...]
     params: tuple[str, ...] = ()
     grading: tuple[tuple[int, ...], ...] | None = field(default=None)
+    domain: FpDomain | FractionDomain = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -644,6 +766,8 @@ class RingContext:
             for row in self.grading:
                 if len(row) != len(self.geom):
                     raise ValueError("grading row length mismatch")
+        domain = FractionDomain(self.p, len(self.params)) if self.params else FpDomain(self.p)
+        object.__setattr__(self, "domain", domain)
 
     # -- lookups -------------------------------------------------------------
 
@@ -674,14 +798,12 @@ class RingContext:
 
     # -- coefficient helpers ------------------------------------------------
 
-    def coeff_zero(self) -> Coefficient:
-        return Coefficient.zero(self.p, self.nparams)
-
-    def coeff(self, c: int) -> Coefficient:
-        return Coefficient.from_const(c, self.p, self.nparams)
+    def coeff(self, c: int):
+        """The integer c as a coefficient of this ring's domain."""
+        return self.domain.const(c)
 
     def coeff_param(self, name: str) -> Coefficient:
-        return Coefficient.from_param(self.param_index(name), self.p, self.nparams)
+        return self.domain.param(self.param_index(name))
 
     # -- derived rings -------------------------------------------------------
 

@@ -236,7 +236,7 @@ def _bare_variable(f: Polynomial) -> str | None:
     if len(f.terms) != 1:
         return None
     (e, c), = f.terms.items()
-    if not c.is_one() or sum(e) != 1:
+    if not f.ring.domain.is_one(c) or sum(e) != 1:
         return None
     return f.ring.geom[e.index(1)]
 

@@ -381,17 +381,9 @@ def gfu_has_root(F: GF, g) -> bool:
 
 
 def int_terms(f) -> list[tuple[tuple, int]]:
-    """Exponent/int-coefficient pairs of a parameter-free engine polynomial."""
-    p = f.ring.p
-    out = []
-    for e in sorted(f.terms):
-        c = f.terms[e]
-        num = c.num.get((), 0) if c.num else 0
-        den = c.den.get((), 1)
-        val = num * pow(den, -1, p) % p
-        if val:
-            out.append((e, val))
-    return out
+    """Exponent/int-coefficient pairs of a parameter-free engine polynomial,
+    whose coefficients are ints mod p."""
+    return [(e, f.terms[e]) for e in sorted(f.terms)]
 
 
 def eval_terms(F: GF, terms, point) -> int:

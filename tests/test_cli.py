@@ -8,6 +8,7 @@ import pytest
 
 from dpv.catalogue import record_ids
 from dpv.cli import _limits, build_parser, main
+from dpv.groebner import Limits
 
 
 def test_limit_pairs_keeps_step_limit_from_env(monkeypatch):
@@ -130,6 +131,87 @@ def test_groebner_missing_ring(tmp_path, capsys):
     ideal.write_text("x\n")
     assert main(["groebner", "--ring", str(empty), "--ideal", str(ideal)]) == 1
     assert "no declaration" in capsys.readouterr().err
+
+
+# exact output over a ring without parameters, whose coefficients are ints
+# mod 7; these are also the bytes that Coefficient arithmetic prints
+F7_IDEAL = ["3*x^2+y*z+5*x", "x*y+4*z^2+6", "2*y^2+x*z+3*z"]
+F7_GREVLEX = """\
+z^4 + 3*x*z + 6*y + 3
+x*z^2 + 2*z^2 + 2*x + 1
+y*z^2 + 6*x*z + 2*y
+x^2 + 5*y*z + 4*x
+x*y + 4*z^2 + 6
+y^2 + 4*x*z + 5*z
+"""
+F7_LEX = """\
+4*z^7 + z^5 + 4*z^4 + 5*z^3 + 3*z^2 + x + 3*z + 4
+4*z^6 + 4*z^3 + 5*z^2 + y + 2*z
+z^8 + 4*z^6 + z^5 + z^3 + 5*z^2 + 2*z + 5
+"""
+
+
+@pytest.mark.parametrize("order, want", [("grevlex", F7_GREVLEX), ("lex", F7_LEX)])
+def test_groebner_exact_output_over_f7(tmp_path, capsys, order, want):
+    ring, ideal = _write_ideal(tmp_path, "ring p=7 geom x y z", F7_IDEAL)
+    assert main(["groebner", "--ring", ring, "--ideal", ideal, "--order", order]) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (want, "")
+
+
+# each rejected input: exit 1, and one stderr line that names the file
+@pytest.mark.parametrize("ring_line, polys, bad, reason", [
+    (None, ["x"], "ring", "No such file or directory"),
+    ("ring p=3 geom x y", None, "ideal", "No such file or directory"),
+    ("ring p=4 geom x y", ["x"], "ring", "characteristic 4 is not prime"),
+    ("ring p=3 geom x y", ["x^2+y$"], "ideal", "bad character in expression: '$'"),
+    ("ring p=3 geom x y", ["x/0"], "ideal", "cannot divide by 0"),
+])
+def test_groebner_rejects_bad_input_in_one_line(tmp_path, capsys, ring_line, polys, bad, reason):
+    ring, ideal = _write_ideal(tmp_path, ring_line or "ring p=3 geom x y", polys or ["x"])
+    paths = {"ring": ring, "ideal": ideal}
+    if ring_line is None or polys is None:
+        paths[bad] = str(tmp_path / "missing.txt")
+    argv = ["groebner", "--ring", paths["ring"], "--ideal", paths["ideal"]]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"{paths[bad]}: {reason}\n"
+
+
+@pytest.mark.parametrize("var, value", [("DPV_STEP_LIMIT", "abc"), ("DPV_PAIR_LIMIT", "x")])
+def test_limits_from_env_names_a_malformed_variable(monkeypatch, var, value):
+    monkeypatch.setenv(var, value)
+    with pytest.raises(ValueError, match=f"^{var} must be an integer, got '{value}'$"):
+        Limits.from_env()
+
+
+@pytest.mark.parametrize("var, value, argv", [
+    ("DPV_STEP_LIMIT", "abc", ["verify", "e1-2"]),
+    ("DPV_PAIR_LIMIT", "x", ["verify-all", "--p", "3"]),
+    ("DPV_PAIR_LIMIT", "1.5", ["groebner", "--ring", "RING", "--ideal", "IDEAL"]),
+])
+def test_malformed_limit_variable_is_rejected_up_front(tmp_path, monkeypatch, capsys, var, value, argv):
+    ring, ideal = _write_ideal(tmp_path, "ring p=3 geom x y", ["x"])
+    argv = [{"RING": ring, "IDEAL": ideal}.get(a, a) for a in argv]
+    monkeypatch.setenv(var, value)
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"{var} must be an integer, got '{value}'\n"
+
+
+def test_limits_from_env_and_limit_pairs(monkeypatch):
+    parser = build_parser()
+    monkeypatch.delenv("DPV_PAIR_LIMIT", raising=False)
+    monkeypatch.delenv("DPV_STEP_LIMIT", raising=False)
+    assert _limits(parser.parse_args(["verify", "e1-2"])) == Limits()
+    monkeypatch.setenv("DPV_PAIR_LIMIT", "40")
+    monkeypatch.setenv("DPV_STEP_LIMIT", "")
+    assert _limits(parser.parse_args(["verify-all"])) == Limits(max_pairs=40)
+    monkeypatch.setenv("DPV_STEP_LIMIT", "900")
+    args = parser.parse_args(["groebner", "--ring", "r", "--ideal", "i", "--limit-pairs", "3"])
+    assert _limits(args) == Limits(max_pairs=3, max_steps=900)
 
 
 @pytest.mark.parametrize("record_id", record_ids())

@@ -190,7 +190,10 @@ def test_elimination_order_projects_ideals():
 
 def reference_reduce(f, basis, order):
     """Full normal form by the textbook loop: scan the live terms for the
-    largest, divide by the first basis element whose lead divides it."""
+    largest, divide by the first basis element whose lead divides it.  The
+    coefficient arithmetic goes through the ring's domain (ints mod p or
+    fractions), subtracting each scaled tail term."""
+    dom = f.ring.domain
     data = []
     for g in basis:
         if not g.is_zero():
@@ -206,16 +209,16 @@ def reference_reduce(f, basis, order):
             remainder[e] = c
             continue
         lm, lc, g = hit
-        factor = c / lc
+        factor = dom.div(c, lc)
         delta = tuple(x - y for x, y in zip(e, lm))
         for ge, gc in g.terms.items():
             if ge == lm:
                 continue
             ne = tuple(x + y for x, y in zip(ge, delta))
-            v = factor * gc
+            v = dom.mul(factor, gc)
             old = work.get(ne)
-            v = -v if old is None else old - v
-            if v.is_zero():
+            v = dom.neg(v) if old is None else dom.sub(old, v)
+            if dom.is_zero(v):
                 work.pop(ne, None)
             else:
                 work[ne] = v
@@ -333,3 +336,48 @@ def test_budget_trips_on_the_same_reduce_step(ring_text, gens, query, allowance,
     with pytest.raises(Inconclusive):
         reduce(f, G, order, budget)
     assert (budget.steps, budget.left) == (steps, left)
+
+
+# -- the int domain against the fraction path ---------------------------------
+
+
+def _domain_run(ring, gen_texts, query_text, order):
+    """Basis, normal form, their work units, and where a half budget trips:
+    everything that must agree between a ring without parameters (ints mod
+    p) and the same ring with one unused parameter (Coefficient)."""
+    gens, q = P(ring, *gen_texts), parse_poly(ring, query_text)
+    spent, G = _work(lambda: buchberger(gens, order))
+    nf_spent, r = _work(lambda: reduce(q, G, order))
+    full = CountingBudget(10**9)
+    reduce(q, G, order, full)
+    tight = CountingBudget((10**9 - full.left) // 2)
+    tripped, tight_spent = _work(lambda: _raises_inconclusive(lambda: reduce(q, G, order, tight)))
+    half_build = Limits(max_steps=spent // 2)
+    build_tripped, build_spent = _work(
+        lambda: _raises_inconclusive(lambda: buchberger(gens, order, half_build)))
+    return ([str(g) for g in G], str(r), spent, nf_spent,
+            (tripped, tight.steps, tight.left, tight_spent), (build_tripped, build_spent))
+
+
+def _raises_inconclusive(fn):
+    try:
+        fn()
+    except Inconclusive:
+        return True
+    return False
+
+
+@given(seed=st.integers(0, 2**30), p=st.sampled_from([2, 3, 5, 7]), nvars=st.integers(1, 3))
+@settings(deadline=None, max_examples=30)
+def test_int_domain_matches_the_fraction_path(seed, p, nvars):
+    rng = random.Random(seed)
+    fp = make_ring(p, nvars)
+    with_param = make_ring(p, nvars, 1)
+    gen_texts = [str(random_poly(fp, rng, 4, 3)) for _ in range(rng.randint(1, 3))]
+    query_text = str(random_poly(fp, rng, 6, 4))
+    for order in _orders(nvars):
+        got = _domain_run(fp, gen_texts, query_text, order)
+        want = _domain_run(with_param, gen_texts, query_text, order)
+        assert got == want
+    G = buchberger(P(fp, *gen_texts))
+    assert all(type(c) is int for g in G for c in g.terms.values())

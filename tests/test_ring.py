@@ -1,4 +1,5 @@
-"""Coefficient field arithmetic: canonical fractions of parameter polynomials."""
+"""Coefficient domains: ints mod p, and canonical fractions of parameter
+polynomials."""
 
 import operator
 import random
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from dpv import ring
 from dpv.ring import (
     Coefficient,
+    FpDomain,
+    FractionDomain,
     RingContext,
     pp_add,
     pp_diff,
@@ -265,6 +268,44 @@ def test_fp_constants_are_shared_and_stay_intact():
             pool.append(got)
     assert all(g.num == num and g.den == den for g, num, den in seen)
     assert [x.fp for x in c] == [None] + list(range(1, p))
+
+
+def test_domain_follows_the_parameters():
+    assert isinstance(RingContext(p=5, geom=("x",), weights=(1,)).domain, FpDomain)
+    dom = RingContext(p=5, geom=("x",), weights=(1,), params=("s", "t")).domain
+    assert isinstance(dom, FractionDomain)
+    assert dom.one == Coefficient.from_const(1, 5, 2) and dom.zero.is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_fp_domain_arithmetic_and_charges(p):
+    dom = FpDomain(p)
+
+    def charged(fn, *args):
+        before = work_done()
+        out = fn(*args)
+        return out, work_done() - before
+
+    for a in range(p):
+        assert charged(dom.neg, a) == ((-a) % p, 0)
+        assert dom.is_zero(a) == (a == 0) and dom.is_one(a) == (a == 1)
+        assert dom.const(a + 3 * p) == a and dom.pth_root(a) == a
+        for b in range(p):
+            assert charged(dom.add, a, b) == ((a + b) % p, 0)
+            assert charged(dom.sub, a, b) == ((a - b) % p, 0)
+            # what Coefficient's integer fast path charges: 2 units for a
+            # product or quotient of nonzero elements, none with a zero
+            assert charged(dom.mul, a, b) == (a * b % p, 2 if a and b else 0)
+            if b:
+                q, units = charged(dom.div, a, b)
+                assert q * b % p == a and units == (2 if a else 0)
+        if a:
+            inv, units = charged(dom.inverse, a)
+            assert inv * a % p == 1 and units == 0
+    with pytest.raises(ZeroDivisionError):
+        dom.div(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        dom.inverse(0)
 
 
 def test_coefficient_diff_quotient_rule():
