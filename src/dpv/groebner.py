@@ -276,9 +276,16 @@ def is_unit_ideal(gens: list[Polynomial], order: MonomialOrder | None = None, li
     return len(G) == 1 and G[0].is_constant() and not G[0].is_zero()
 
 
-def _extend_with_var(ring: RingContext, base: str = "T"):
-    name = ring.fresh_name(base)
-    return ring.with_extra_geom_vars((name,)), name
+def _with_inverse(gens: list[Polynomial], f: Polynomial):
+    """(gens, 1 - T*f) in f's ring with a fresh last variable T, and that
+    ring: the inverse-variable trick behind radical membership and
+    saturation."""
+    ring = f.ring
+    big = ring.with_extra_geom_vars((ring.fresh_name("T"),))
+    t = Polynomial.variable(big, big.geom[-1])
+    lifted = [h.change_ring(big) for h in gens]
+    lifted.append(Polynomial.one(big) - t * f.change_ring(big))
+    return lifted, big
 
 
 def radical_membership(
@@ -288,11 +295,7 @@ def radical_membership(
     1 belongs to (gens, 1 - T*g)."""
     if g.is_zero():
         return True
-    ring = g.ring
-    big, tname = _extend_with_var(ring)
-    t = Polynomial.variable(big, tname)
-    lifted = [f.change_ring(big) for f in gens]
-    lifted.append(Polynomial.one(big) - t * g.change_ring(big))
+    lifted, big = _with_inverse(gens, g)
     return is_unit_ideal(lifted, grevlex(big.ngeom), limits)
 
 
@@ -300,22 +303,13 @@ def saturate(
     gens: list[Polynomial], f: Polynomial, limits: Limits | None = None
 ) -> list[Polynomial]:
     """Generators of (gens) : f^infinity via elimination of an inverse variable."""
-    ring = f.ring
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
         return []
-    big, tname = _extend_with_var(ring)
-    t = Polynomial.variable(big, tname)
-    lifted = [h.change_ring(big) for h in nonzero]
-    lifted.append(Polynomial.one(big) - t * f.change_ring(big))
-    order = elimination(big.ngeom, (big.ngeom - 1,))
-    G = buchberger(lifted, order, limits)
+    lifted, big = _with_inverse(nonzero, f)
     ti = big.ngeom - 1
-    out = []
-    for h in G:
-        if all(e[ti] == 0 for e in h.terms):
-            out.append(Polynomial(ring, {e[:ti]: c for e, c in h.terms.items()}, normalized=True))
-    return out
+    G = buchberger(lifted, elimination(big.ngeom, (ti,)), limits)
+    return [h.change_ring(f.ring) for h in G if all(e[ti] == 0 for e in h.terms)]
 
 
 def dimension(

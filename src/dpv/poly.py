@@ -249,81 +249,67 @@ class Polynomial:
     # -- substitution ----------------------------------------------------------
 
     def substitute(self, assignments: dict, target_ring: RingContext | None = None) -> "Polynomial":
-        """Simultaneous substitution.  Geometric variables map to Polynomials
-        (or ints/coefficients), parameters map to coefficients or ints;
-        unmapped variables must exist by name in the target ring."""
+        """Simultaneous substitution of geometric variables.  Each key names a
+        geometric variable of f (a parameter name raises KeyError: parameters
+        keep their value) and maps to a Polynomial or a constant of the target
+        ring, which must have the same p and parameters as f's ring.  Unmapped
+        variables carry over by name through change_ring.  Without
+        target_ring, the ring of the first Polynomial value is used, else f's
+        own ring."""
         ring = self.ring
         if target_ring is None:
-            target_ring = ring
-            for v in assignments.values():
-                if isinstance(v, Polynomial):
-                    target_ring = v.ring
-                    break
-        used_geom = set()
-        used_params = set()
-        for e, c in self.terms.items():
-            for i, k in enumerate(e):
-                if k:
-                    used_geom.add(i)
-            if ring.nparams:
-                for mon in list(c.num) + list(c.den):
-                    for j, k in enumerate(mon):
-                        if k:
-                            used_params.add(j)
-        geom_targets: list[Polynomial | None] = []
-        for i, name in enumerate(ring.geom):
-            val = assignments.get(name)
-            if val is None:
-                if i not in used_geom:
-                    geom_targets.append(None)
-                    continue
-                val = Polynomial.variable(target_ring, name)
-            elif not isinstance(val, Polynomial):
+            target_ring = next(
+                (v.ring for v in assignments.values() if isinstance(v, Polynomial)), ring
+            )
+        slots = []
+        images = []
+        for name, val in assignments.items():
+            slots.append(ring.geom_index(name))
+            if not isinstance(val, Polynomial):
                 val = Polynomial.constant(target_ring, val)
             elif val.ring != target_ring:
                 raise ValueError("substitution targets live in different rings")
-            geom_targets.append(val)
-        param_targets: list = []
-        for j, name in enumerate(ring.params):
-            val = assignments.get(name)
-            if val is None:
-                if j not in used_params:
-                    param_targets.append(None)
-                    continue
-                val = target_ring.coeff_param(name)
-            elif isinstance(val, int):
-                val = target_ring.coeff(val)
-            elif isinstance(val, Polynomial):
-                raise ValueError("parameters may only map to coefficients")
-            param_targets.append(val)
-
-        pow_cache: dict[tuple[int, int], Polynomial] = {}
-
-        def vpow(i: int, k: int) -> Polynomial:
-            key = (i, k)
-            got = pow_cache.get(key)
-            if got is None:
-                got = geom_targets[i] ** k
-                pow_cache[key] = got
-            return got
-
-        tdom = target_ring.domain
-        result = Polynomial.zero(target_ring)
+            images.append(val)
+        # group the terms by their exponents in the mapped slots; the rest of
+        # each term moves into the target ring unchanged
+        groups: dict[tuple[int, ...], dict] = {}
         for e, c in self.terms.items():
-            # a coefficient without parameters is an int mod p
-            cc = _substitute_coeff(c, param_targets, tdom) if ring.nparams else tdom.const(c)
-            if tdom.is_zero(cc):
-                continue
-            term = Polynomial.constant(target_ring, cc)
-            for i, k in enumerate(e):
+            rest = list(e)
+            for i in slots:
+                rest[i] = 0
+            groups.setdefault(tuple(e[i] for i in slots), {})[tuple(rest)] = c
+        # change_ring checks p and the parameters, also when f is zero
+        result = Polynomial.zero(ring).change_ring(target_ring)
+        for key, terms in groups.items():
+            term = Polynomial(ring, terms, normalized=True).change_ring(target_ring)
+            for img, k in zip(images, key):
                 if k:
-                    term = term * vpow(i, k)
+                    term = term * img**k
             result = result + term
         return result
 
     def change_ring(self, ring: RingContext) -> "Polynomial":
-        """Rename-free embedding into a ring containing the same variables."""
-        return self.substitute({}, target_ring=ring)
+        """The same polynomial in a ring over the same base field: ring must
+        have f's p and parameters (else ValueError), and every geometric
+        variable f uses must exist in ring by name (else KeyError).  Only the
+        exponent tuples are re-indexed; the coefficient objects are kept as
+        they are, so an embedding or projection costs no work units."""
+        src = self.ring
+        if ring.p != src.p or ring.params != src.params:
+            raise ValueError("change_ring keeps the characteristic and the parameters")
+        moves = [
+            (i, ring.geom_index(name))
+            for i, name in enumerate(src.geom)
+            if any(e[i] for e in self.terms)
+        ]
+        n = ring.ngeom
+        out = {}
+        for e, c in self.terms.items():
+            ne = [0] * n
+            for i, j in moves:
+                ne[j] = e[i]
+            out[tuple(ne)] = c
+        return Polynomial(ring, out, normalized=True)
 
     def dehomogenize(self, name: str) -> "Polynomial":
         """Set a weight-1 geometric variable to 1 and drop it from the ring."""
@@ -407,22 +393,4 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
-
-
-def _substitute_coeff(c: Coefficient, targets: list, dom):
-    """c with its parameters replaced by targets, in the target domain dom."""
-    return dom.div(_eval_pp(c.num, targets, dom), _eval_pp(c.den, targets, dom))
-
-
-def _eval_pp(a: dict, targets: list, dom):
-    total = dom.zero
-    for e, cv in a.items():
-        part = dom.const(cv)
-        for i, k in enumerate(e):
-            if k:
-                base = targets[i]
-                for _ in range(k):
-                    part = dom.mul(part, base)
-        total = dom.add(total, part)
-    return total
 

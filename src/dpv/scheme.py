@@ -245,10 +245,6 @@ def _blowup_chart(c: Chart, gnum: Polynomial, gden: Polynomial, varbase: str, li
     """Chart where gnum = t*gden, exceptional divisor cut by gden."""
     tname = c.ring.fresh_name(varbase)
     ring1 = c.ring.with_extra_geom_vars((tname,))
-    t = Polynomial.variable(ring1, tname)
-    gnum1 = gnum.change_ring(ring1)
-    gden1 = gden.change_ring(ring1)
-    eqs = [e.change_ring(ring1) for e in c.equations]
     bare = _bare_variable(gnum)
     eliminable = (
         bare is not None
@@ -261,22 +257,17 @@ def _blowup_chart(c: Chart, gnum: Polynomial, gden: Polynomial, varbase: str, li
     )
     if eliminable:
         # gnum is a coordinate; rewrite it as t*gden and drop the variable
-        sub = {bare: t * gden1}
-        slot = ring1.geom_index(bare)
-        ring2 = ring1.without_geom_var(bare)
-        work_eqs = []
-        for f in eqs:
-            g = f.substitute(sub, target_ring=ring1)
-            if g.is_zero():
-                continue
-            work_eqs.append(_forget_slot(g, slot, ring2))
-        work_ring = ring2
-        exceptional = _forget_slot(gden1, slot, ring2)
+        work_ring = ring1.without_geom_var(bare)
+        exceptional = gden.change_ring(work_ring)
+        sub = {bare: Polynomial.variable(work_ring, tname) * exceptional}
+        work_eqs = [f.substitute(sub, work_ring) for f in c.equations]
+        work_eqs = [g for g in work_eqs if not g.is_zero()]
     else:
-        rel = gnum1 - t * gden1
         work_ring = ring1
-        work_eqs = eqs + [rel]
-        exceptional = gden1
+        exceptional = gden.change_ring(ring1)
+        t = Polynomial.variable(ring1, tname)
+        work_eqs = [e.change_ring(ring1) for e in c.equations]
+        work_eqs.append(gnum.change_ring(ring1) - t * exceptional)
     sat = saturate(work_eqs, exceptional, limits) if work_eqs else []
     inv = tuple((g.change_ring(work_ring), nm) for g, nm in c.inverted)
     return Chart(
@@ -286,15 +277,6 @@ def _blowup_chart(c: Chart, gnum: Polynomial, gden: Polynomial, varbase: str, li
         inverted=inv,
         provenance="blowup",
     )
-
-
-def _forget_slot(f: Polynomial, slot: int, ring2: RingContext) -> Polynomial:
-    # only valid when no term of f uses the dropped variable
-    terms = {}
-    for e, c in f.terms.items():
-        assert e[slot] == 0
-        terms[e[:slot] + e[slot + 1 :]] = c
-    return Polynomial(ring2, terms, normalized=True)
 
 
 def blow_up(
@@ -623,8 +605,8 @@ def geometric_integrality(model: SurfaceModel, assumptions: tuple[str, ...] = ()
     is 'implied' when regularity, properness and H0 = k are all on record."""
     witness = None
     for c in model.charts:
-        eqs = list(c.full_equations())
-        minors = jacobian_minors(c.full_equations(), c.ring, c.codim, include_params=False)
+        eqs = c.full_equations()
+        minors = jacobian_minors(eqs, c.ring, c.codim, include_params=False)
         for i, m in enumerate(minors):
             if not radical_membership(m, eqs, limits):
                 witness = {"chart": c.name, "minor_index": i, "minor": str(m)}

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from dpv.parsing import parse_poly, parse_ring
 from dpv.poly import Polynomial
+from dpv.ring import RingContext, work_done
 
 from _gen import random_poly
 
 RING3 = parse_ring("ring p=3 geom x y z params s t")
 RING2 = parse_ring("ring p=2 geom x:1 y:2 params s")
+F2 = parse_ring("ring p=2 geom x y z")
+F2S = parse_ring("ring p=2 geom x y z params s")
 
 
 def polys(ring, max_terms=4, max_degree=3):
@@ -62,6 +65,9 @@ def test_substitute_keeps_parameters():
     u = parse_poly(target, "u")
     images = {"x": u, "y": u, "z": Polynomial.zero(target)}
     assert f.substitute(images) == parse_poly(target, "s*u^2+t*u+1")
+    # parameters are part of the base field, not substitutable variables
+    with pytest.raises(KeyError):
+        f.substitute({"s": 1})
 
 
 def test_substitute_ignores_unused_missing_variables():
@@ -164,3 +170,31 @@ def test_change_ring_requires_compatible_names():
     assert str(lifted) == str(f)
     with pytest.raises(KeyError):
         parse_poly(bigger, "w").change_ring(RING3)
+    # z is unused, so a ring without it (and in another order) takes f
+    smaller = parse_ring("ring p=3 geom y x params s t")
+    assert f.change_ring(smaller) == parse_poly(smaller, "x+s*y")
+    # the base field F_p(params) must stay the same
+    for decl in ("p=5 geom x y z params s t", "p=3 geom x y z params t s", "p=3 geom x y z params s"):
+        other = parse_ring("ring " + decl)
+        with pytest.raises(ValueError):
+            f.change_ring(other)
+        with pytest.raises(ValueError):
+            f.substitute({"x": 1}, other)
+
+
+@given(f=polys(F2), g=polys(F2S))
+@settings(deadline=None, max_examples=60)
+def test_change_ring_moves_exponents_only(f, g):
+    # embed into a ring with an extra variable in the middle and the old ones
+    # permuted, then project back: the identity, with the same coefficient
+    # objects and no work units, over F_2 and over F_2(s)
+    for h in (f, g):
+        ring = h.ring
+        big = RingContext(ring.p, ("z", "w", "x", "y"), (1, 1, 1, 1), ring.params, ())
+        before = work_done()
+        up = h.change_ring(big)
+        down = up.change_ring(ring)
+        assert work_done() == before
+        assert down == h
+        assert all(up.terms[(e[2], 0, e[0], e[1])] is c for e, c in h.terms.items())
+        assert all(down.terms[e] is c for e, c in h.terms.items())
