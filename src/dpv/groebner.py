@@ -152,7 +152,7 @@ def reduce(
                 del work[ne]
             else:
                 work[ne] = v
-    return Polynomial(ring, remainder, normalized=True)
+    return Polynomial(ring, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -163,8 +163,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     af = tuple(x - y for x, y in zip(L, lmf))
     ag = tuple(x - y for x, y in zip(L, lmg))
     dom = ring.domain
-    mf = Polynomial(ring, {af: dom.div(dom.one, lcf)}, normalized=True)
-    mg = Polynomial(ring, {ag: dom.div(dom.one, lcg)}, normalized=True)
+    mf = Polynomial(ring, {af: dom.div(dom.one, lcf)})
+    mg = Polynomial(ring, {ag: dom.div(dom.one, lcg)})
     return mf * f - mg * g
 
 
@@ -173,9 +173,11 @@ def buchberger(
     order: MonomialOrder | None = None,
     limits: Limits | None = None,
 ) -> list[Polynomial]:
-    """Reduced Groebner basis; [] for the zero ideal, [1] for the unit ideal."""
+    """Reduced Groebner basis; [] for the zero ideal, [1] for the unit ideal.
+    limits=None means the defaults, Limits(): the engine reads no
+    environment variable (the dpv command turns DPV_* into Limits)."""
     if limits is None:
-        limits = Limits.from_env()
+        limits = Limits()
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
         return []

@@ -20,13 +20,10 @@ INHOMOGENEOUS = "inhomogeneous"
 class Polynomial:
     __slots__ = ("ring", "terms", "_hash", "_lead")
 
-    def __init__(self, ring: RingContext, terms: dict | None = None, normalized: bool = False):
+    def __init__(self, ring: RingContext, terms: dict):
+        """terms maps exponent tuples to nonzero coefficients of ring.domain;
+        it is kept as given, not copied or filtered."""
         self.ring = ring
-        if terms is None:
-            terms = {}
-        if not normalized:
-            is_zero = ring.domain.is_zero
-            terms = {e: c for e, c in terms.items() if not is_zero(c)}
         self.terms = terms
         self._hash = None
         self._lead = None
@@ -35,7 +32,7 @@ class Polynomial:
 
     @classmethod
     def zero(cls, ring: RingContext) -> "Polynomial":
-        return cls(ring, {}, normalized=True)
+        return cls(ring, {})
 
     @classmethod
     def one(cls, ring: RingContext) -> "Polynomial":
@@ -47,14 +44,14 @@ class Polynomial:
             c = ring.coeff(c)
         if ring.domain.is_zero(c):
             return cls.zero(ring)
-        return cls(ring, {(0,) * ring.ngeom: c}, normalized=True)
+        return cls(ring, {(0,) * ring.ngeom: c})
 
     @classmethod
     def variable(cls, ring: RingContext, name: str) -> "Polynomial":
         if name in ring.geom:
             i = ring.geom_index(name)
             e = tuple(1 if j == i else 0 for j in range(ring.ngeom))
-            return cls(ring, {e: ring.coeff(1)}, normalized=True)
+            return cls(ring, {e: ring.coeff(1)})
         return cls.constant(ring, ring.coeff_param(name))
 
     # -- predicates ----------------------------------------------------------
@@ -108,15 +105,13 @@ class Polynomial:
                 del out[e]
             else:
                 out[e] = v
-        return Polynomial(self.ring, out, normalized=True)
+        return Polynomial(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         neg = self.ring.domain.neg
-        return Polynomial(
-            self.ring, {e: neg(c) for e, c in self.terms.items()}, normalized=True
-        )
+        return Polynomial(self.ring, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -135,9 +130,7 @@ class Polynomial:
             c = other if isinstance(other, Coefficient) else dom.const(other)
             if dom.is_zero(c):
                 return Polynomial.zero(self.ring)
-            return Polynomial(
-                self.ring, {e: mul(v, c) for e, v in self.terms.items()}, normalized=True
-            )
+            return Polynomial(self.ring, {e: mul(v, c) for e, v in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         add, is_zero = dom.add, dom.is_zero
@@ -152,7 +145,7 @@ class Polynomial:
                     out.pop(e, None)
                 else:
                     out[e] = v
-        return Polynomial(self.ring, out, normalized=True)
+        return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -192,7 +185,7 @@ class Polynomial:
             e: Coefficient(p, pp_mul(c.num, pp_divexact(lcm, c.den, p), p), one, reduced=True)
             for e, c in self.terms.items()
         }
-        return Polynomial(self.ring, terms, normalized=True)
+        return Polynomial(self.ring, terms)
 
     # -- calculus -------------------------------------------------------------
 
@@ -216,14 +209,14 @@ class Polynomial:
                     out.pop(ne, None)
                 else:
                     out[ne] = v
-            return Polynomial(ring, out, normalized=True)
+            return Polynomial(ring, out)
         j = ring.param_index(name)
         out = {}
         for e, c in self.terms.items():
             v = c.diff(j)
             if not v.is_zero():
                 out[e] = v
-        return Polynomial(ring, out, normalized=True)
+        return Polynomial(ring, out)
 
     def pth_root(self) -> "Polynomial":
         """Inverse Frobenius; requires every geometric exponent divisible by p
@@ -236,7 +229,7 @@ class Polynomial:
             if any(x % p for x in e):
                 raise ArithmeticError("geometric exponents not divisible by p")
             out[tuple(x // p for x in e)] = root(c)
-        return Polynomial(ring, out, normalized=True)
+        return Polynomial(ring, out)
 
     def is_pth_power(self) -> bool:
         p = self.ring.p
@@ -281,7 +274,7 @@ class Polynomial:
         # change_ring checks p and the parameters, also when f is zero
         result = Polynomial.zero(ring).change_ring(target_ring)
         for key, terms in groups.items():
-            term = Polynomial(ring, terms, normalized=True).change_ring(target_ring)
+            term = Polynomial(ring, terms).change_ring(target_ring)
             for img, k in zip(images, key):
                 if k:
                     term = term * img**k
@@ -309,7 +302,7 @@ class Polynomial:
             for i, j in moves:
                 ne[j] = e[i]
             out[tuple(ne)] = c
-        return Polynomial(ring, out, normalized=True)
+        return Polynomial(ring, out)
 
     def dehomogenize(self, name: str) -> "Polynomial":
         """Set a weight-1 geometric variable to 1 and drop it from the ring."""
@@ -328,7 +321,7 @@ class Polynomial:
                 out.pop(ne, None)
             else:
                 out[ne] = v
-        return Polynomial(new_ring, out, normalized=True)
+        return Polynomial(new_ring, out)
 
     # -- grading ---------------------------------------------------------------
 

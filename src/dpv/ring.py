@@ -11,9 +11,11 @@ holds one coefficient domain, chosen by its number of parameters:
   parameter) to nonzero residues mod p.  Fractions are kept in canonical
   form (numerator and denominator coprime, denominator monic under a fixed
   grevlex order on the parameters) so that equal field elements compare
-  equal structurally.
+  equal structurally.  Constants and parameter polynomials are fractions
+  with denominator 1 and take the same arithmetic as any other fraction.
 
-Polynomial code talks to ring.domain, never to the coefficient type.
+Polynomial code talks to ring.domain, never to the coefficient type.  The
+only module-level mutable state is the per-thread work counter (work_done).
 """
 
 from __future__ import annotations
@@ -375,21 +377,14 @@ class Coefficient:
     * and / keep that form without a gcd of the products: both operands are
     already coprime, so cross-cancelling each numerator against the other
     denominator before multiplying leaves a reduced result (see _cross).
-    inverse() only swaps numerator and denominator and rescales, since the
-    two are coprime already.  __add__ still takes one gcd of the whole sum.
-
-    Most coefficients of the catalogue's equations are constants, so when
-    both operands are nonzero constants of F_p, *, / and - take an integer
-    fast path mod p.  It charges work_done() exactly what the general path's
-    pp_mul calls would (2 units for * and /, none for -), so work budgets
-    trip at the same step either way, and it returns a shared constant from
-    a per-(p, nparams) table instead of building one: no operation mutates
-    num or den in place, so coefficients may alias.  The residue of a
-    nonzero constant is found once, at construction, and kept in fp (None
-    for every other coefficient).
+    When both denominators are 1 (constants and every element of
+    F_p[params]) nothing can cancel, and _cross only multiplies the
+    numerators.  inverse() only swaps numerator and denominator and
+    rescales, since the two are coprime already.  __add__ still takes one
+    gcd of the whole sum, and - is + of the negation.
     """
 
-    __slots__ = ("p", "num", "den", "fp")
+    __slots__ = ("p", "num", "den")
 
     def __init__(self, p: int, num: PP, den: PP, reduced: bool = False):
         if not den:
@@ -410,7 +405,6 @@ class Coefficient:
         self.p = p
         self.num = num
         self.den = den
-        self.fp = _fp_value(num, den)
 
     # -- constructors -------------------------------------------------------
 
@@ -457,34 +451,21 @@ class Coefficient:
         return Coefficient(self.p, pp_neg(self.num, self.p), self.den, reduced=True)
 
     def __sub__(self, other: "Coefficient") -> "Coefficient":
-        a, b = self.fp, other.fp
-        if a is None or b is None:
-            return self + (-other)
-        return _fp_consts(self.p, self.den)[(a - b) % self.p]
+        return self + (-other)
 
     def __mul__(self, other: "Coefficient") -> "Coefficient":
         if not self.num:
             return self
         if not other.num:
             return other
-        p = self.p
-        a, b = self.fp, other.fp
-        if a is not None and b is not None:
-            _WORK.n += 2
-            return _fp_consts(p, self.den)[a * b % p]
-        return _cross(p, self.num, self.den, other.num, other.den)
+        return _cross(self.p, self.num, self.den, other.num, other.den)
 
     def __truediv__(self, other: "Coefficient") -> "Coefficient":
         if not other.num:
             raise ZeroDivisionError("division by zero coefficient")
         if not self.num:
             return self
-        p = self.p
-        a, b = self.fp, other.fp
-        if a is not None and b is not None:
-            _WORK.n += 2
-            return _fp_consts(p, self.den)[a * pow(b, -1, p) % p]
-        return _cross(p, self.num, self.den, other.den, other.num)
+        return _cross(self.p, self.num, self.den, other.den, other.num)
 
     def inverse(self) -> "Coefficient":
         if not self.num:
@@ -552,7 +533,15 @@ def _cross(p: int, a: PP, b: PP, c: PP, d: PP) -> Coefficient:
     on the operands, not on the products, and no gcd of the result is
     needed.  A constant denominator shares no factor, so its gcd is skipped
     outright.  b and both gcds are monic, so the leading coefficient of the
-    new denominator is d's."""
+    new denominator is d's.
+
+    When b and d are both 1, the product is (a*c)/1 with nothing to cancel
+    or rescale.  That case charges len(a)*len(c) + 1 units, what the two
+    pp_mul calls of the general path charge, so budgets trip at the same
+    step either way."""
+    if d == b and pp_is_const(b):
+        _WORK.n += 1
+        return Coefficient(p, pp_mul(a, c, p), b, reduced=True)
     if not pp_is_const(d):
         g = pp_gcd(a, d, p)
         if not pp_is_const(g):
@@ -574,34 +563,6 @@ def _monic_den(p: int, num: PP, den: PP, lc: int) -> tuple[PP, PP]:
         return num, den
     inv = pow(lc, -1, p)
     return pp_scale(num, inv, p), pp_scale(den, inv, p)
-
-
-# (p, unit monomial (0, ..., 0)) -> the p constants of F_p, zero included,
-# indexed by residue; filled on first use and never changed after
-_FP_CONSTS: dict[tuple[int, tuple[int, ...]], list[Coefficient]] = {}
-
-
-def _fp_consts(p: int, den: PP) -> list[Coefficient]:
-    """The shared constants of F_p over the parameter slots of den, a
-    constant's denominator {(0, ..., 0): 1}."""
-    z = next(iter(den))
-    table = _FP_CONSTS.get((p, z))
-    if table is None:
-        table = [
-            Coefficient(p, {z: v} if v else {}, den, reduced=True) for v in range(p)
-        ]
-        _FP_CONSTS[(p, z)] = table
-    return table
-
-
-def _fp_value(num: PP, den: PP) -> int | None:
-    """The residue of the nonzero constant num/den, None for any other
-    reduced fraction: a constant is {0: v}/{0: 1}."""
-    if len(den) == 1 and len(num) == 1:
-        for e in den:
-            if not any(e):
-                return num.get(e)
-    return None
 
 
 def format_pp(a: PP, names) -> str:

@@ -16,6 +16,7 @@ that distinguish regular-but-not-smooth points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 
@@ -106,11 +107,7 @@ class SurfaceModel:
     charts: tuple[Chart, ...] = ()
     extra_charts: tuple[Chart, ...] = ()
     parent: "SurfaceModel | None" = None
-    center: tuple[Polynomial, Polynomial] | None = None
-    center_chart: str | None = None
     center_degree: int | None = None
-    cover_bidegree: tuple[int, int] | None = None
-    cover_section: Polynomial | None = None
     notes: tuple[str, ...] = ()
 
     @property
@@ -327,8 +324,6 @@ def blow_up(
         equations=parent.equations,
         charts=(chart_a, chart_b) + retained,
         parent=parent,
-        center=(g1, g2),
-        center_chart=chart_name,
         center_degree=degree,
         notes=tuple(notes),
     )
@@ -370,8 +365,6 @@ def double_cover(
         presentation="double_cover",
         equations=(),
         charts=tuple(charts),
-        cover_bidegree=bidegree,
-        cover_section=section,
     )
 
 
@@ -440,25 +433,6 @@ def ambient_check(model: SurfaceModel, limits: Limits | None = None) -> AmbientR
 # ---------------------------------------------------------------------------
 
 
-def _determinant(rows: list[list[Polynomial]], ring: RingContext) -> Polynomial:
-    n = len(rows)
-    if n == 0:
-        return Polynomial.one(ring)
-    if n == 1:
-        return rows[0][0]
-    out = Polynomial.zero(ring)
-    for j, top in enumerate(rows[0]):
-        if top.is_zero():
-            continue
-        minor = [[r[k] for k in range(n) if k != j] for r in rows[1:]]
-        sub = _determinant(minor, ring)
-        if sub.is_zero():
-            continue
-        term = top * sub
-        out = out + (term if j % 2 == 0 else -term)
-    return out
-
-
 def jacobian_minors(
     polys: tuple[Polynomial, ...],
     ring: RingContext,
@@ -466,27 +440,45 @@ def jacobian_minors(
     include_params: bool,
 ) -> list[Polynomial]:
     """All size x size minors of the derivation matrix of polys: geometric
-    columns always, parameter columns when include_params."""
+    columns always, parameter columns when include_params.  Each minor is a
+    Laplace expansion along its first row, and every smaller minor is
+    computed once and shared by all the minors that expand into it."""
     colnames = list(ring.geom)
     if include_params:
         colnames += list(ring.params)
     matrix = [[f.diff(nm) for nm in colnames] for f in polys]
-    seen = set()
-    out: list[Polynomial] = []
     if size == 0:
         return [Polynomial.one(ring)]
+
+    @functools.cache
+    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
+        top = matrix[rows[0]]
+        if len(rows) == 1:
+            return top[cols[0]]
+        out = Polynomial.zero(ring)
+        for j, c in enumerate(cols):
+            if top[c].is_zero():
+                continue
+            sub = det(rows[1:], cols[:j] + cols[j + 1 :])
+            if sub.is_zero():
+                continue
+            term = top[c] * sub
+            out = out + (term if j % 2 == 0 else -term)
+        return out
+
+    seen = set()
+    out: list[Polynomial] = []
     for rsel in itertools.combinations(range(len(polys)), size):
         for csel in itertools.combinations(range(len(colnames)), size):
-            rows = [[matrix[r][c] for c in csel] for r in rsel]
-            det = _determinant(rows, ring)
-            if det.is_zero():
+            m = det(rsel, csel)
+            if m.is_zero():
                 continue
-            key = frozenset(det.terms.items())
-            nkey = frozenset((-det).terms.items())
+            key = frozenset(m.terms.items())
+            nkey = frozenset((-m).terms.items())
             if key in seen or nkey in seen:
                 continue
             seen.add(key)
-            out.append(det)
+            out.append(m)
     return out
 
 

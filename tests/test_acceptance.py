@@ -8,6 +8,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +52,10 @@ K2_BY_RECORD = {
     "e2-5-blowup": 5,
     "e2-6": 6,
 }
+
+
+# the reports the benchmark checks every catalogue pass against; read only
+GOLDEN_REPORTS = Path(__file__).resolve().parent.parent / "benchmark" / "golden" / "catalogue"
 
 
 @pytest.fixture(scope="module")
@@ -311,4 +316,9 @@ def test_criterion_9_deterministic_reports(summary, tmp_path):
     for rep in summary.reports:
         doc = json.dumps(rep.to_json(), sort_keys=True, indent=1) + "\n"
         assert doc.encode() == (dirs[0] / f"{rep.record_id}.json").read_bytes()
+    # and the golden bytes: a change that moves any report byte shows here
+    golden = sorted(p.name for p in GOLDEN_REPORTS.iterdir())
+    assert golden == sorted(f"{rid}.json" for rid in RECORD_ORDER)
+    for name in golden:
+        assert (dirs[0] / name).read_bytes() == (GOLDEN_REPORTS / name).read_bytes(), name
     print("ACCEPTANCE 9 byte-identical reruns: PASS")

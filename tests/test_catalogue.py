@@ -163,12 +163,24 @@ def test_cross_model_check_never_passes_on_undecided_verdicts(monkeypatch):
 def test_verify_all_work_stays_below_bound():
     # deterministic term-product units; computing each basis and verdict
     # once brought one pass from 189,227 to 170,154, cross-cancelling
-    # coefficient products and quotients to 93,049, and ring changes that
-    # re-index exponents instead of re-evaluating coefficients to 87,183
+    # coefficient products and quotients to 93,049, ring changes that
+    # re-index exponents instead of re-evaluating coefficients to 87,183,
+    # and computing each Jacobian sub-minor once to 82,615
     before = work_done()
     summary = verify_all()
     assert summary.exit_code == 0
-    assert work_done() - before < 88_000
+    assert work_done() - before < 83_000
+
+
+@pytest.mark.parametrize("var, value", [("DPV_STEP_LIMIT", "abc"), ("DPV_PAIR_LIMIT", "1")])
+def test_library_calls_read_no_dpv_variable(monkeypatch, var, value):
+    # only the dpv command turns DPV_* into Limits; a library call without
+    # limits runs under the defaults, whatever the environment holds
+    monkeypatch.setenv(var, value)
+    report = verify_example("e1-2")
+    assert [(c.name, c.status) for c in report.checks] == [
+        (name, "pass") for name in ("ambient", "regular", "geom_normal", "geom_integral", "k2")
+    ]
 
 
 def test_cross_model_check_reuses_the_records_own_verdicts(monkeypatch):

@@ -222,7 +222,7 @@ def reference_reduce(f, basis, order):
                 work.pop(ne, None)
             else:
                 work[ne] = v
-    return Polynomial(f.ring, remainder, normalized=True)
+    return Polynomial(f.ring, remainder)
 
 
 def _orders(n):
@@ -255,10 +255,11 @@ def test_rkey_ascending_is_key_descending(exps):
 
 # -- exact work units: budgets keep meaning "term products" ------------------
 # The F_7 constants were measured with the max-scan division and the general
-# coefficient arithmetic; the heap division and the F_p constant fast path
-# must charge exactly the same units at the same points.  The F_2(s) and
-# F_5(s, t) constants were measured with cross-cancelled * and / (no gcd of
-# the whole product).
+# coefficient arithmetic; the heap division and the int domain of rings
+# without parameters must charge exactly the same units at the same points.
+# The F_2(s) and F_5(s, t) constants were measured with cross-cancelled * and
+# / (no gcd of the whole product); they hold with constants taking the same
+# Coefficient arithmetic as every other fraction.
 
 FP_RING = "ring p=7 geom a b c d e"
 FP_GENS = ("3*a^2+b*c+5*d*e+2*a*e", "a*b+4*c^2+6*b*e+d^2", "2*b^2+a*d+3*c*e+5*e^2",

@@ -180,6 +180,13 @@ def _outcome(fn, *args):
     return got, work_done() - before
 
 
+def _charged(fn, *args):
+    """(result, work units spent)."""
+    before = work_done()
+    out = fn(*args)
+    return out, work_done() - before
+
+
 @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), nparams=st.integers(1, 3))
 @settings(deadline=None, max_examples=200)
 def test_kernels_match_reference(data, p, nparams):
@@ -236,6 +243,25 @@ def test_cross_cancelled_arithmetic_matches_whole_product(data, p, nparams):
             got = u.inverse()
             assert got == Coefficient(p, u.den, u.num)
             _assert_canonical(got)
+    # denominators 1: constants and elements of F_p[params].  Nothing can
+    # cancel, so * charges exactly what the whole product charges, and so
+    # does / by a constant (1 included); / by a polynomial matches in value
+    one = {(0,) * nparams: 1}
+    g, h = (data.draw(pps(p, nparams, maxdeg=2, maxterms=3, minterms=1)) for _ in range(2))
+    k, m = (data.draw(st.integers(1, p - 1)) for _ in range(2))
+    polys = [Coefficient(p, g, one), Coefficient(p, h, one)]
+    consts = [Coefficient.from_const(k, p, nparams), Coefficient.from_const(m, p, nparams)]
+    for u in consts + polys:
+        for v in consts + polys:
+            prod = _charged(operator.mul, u, v)
+            assert prod == _charged(reference_mul_coeff, u, v)
+            quot = _charged(operator.truediv, u, v)
+            if v in consts:
+                assert quot == _charged(reference_div_coeff, u, v)
+            else:
+                assert quot[0] == reference_div_coeff(u, v)
+            _assert_canonical(prod[0])
+            _assert_canonical(quot[0])
 
 
 OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -243,14 +269,15 @@ REFERENCE_OPS = {"+": operator.add, "-": lambda u, v: u + (-v), "*": reference_m
                  "/": reference_div_coeff}
 
 
-def test_fp_constants_are_shared_and_stay_intact():
+def test_shared_coefficients_stay_intact():
+    # results share dicts and objects with their operands (a product of
+    # denominators 1 keeps the operand's denominator, a zero operand is
+    # returned as is) and change_ring keeps coefficient objects, so no
+    # operation may mutate num or den.  A long mixed chain: every value,
+    # checked after the whole chain has run, still equals what the
+    # whole-product reference gave at its step.
     p, n = 7, 2
     c = [Coefficient.from_const(v, p, n) for v in range(p)]
-    # equal F_p results of *, / and - are one object
-    assert c[3] * c[5] is c[5] / c[3].inverse() is c[4] - c[3] is c[2] * c[4]
-    assert c[3] - c[3] is c[6] - c[6] is c[3] * c[2] - c[6]
-    # a long mixed chain: every value, checked after the whole chain has
-    # run, still equals what the whole-product reference gave at its step
     s = Coefficient.from_param(0, p, n)
     pool = c + [s, s + c[1], (s + c[2]).inverse()]
     rng = random.Random(0)
@@ -267,7 +294,6 @@ def test_fp_constants_are_shared_and_stay_intact():
         if len(got.num) <= 3 and len(got.den) <= 3:
             pool.append(got)
     assert all(g.num == num and g.den == den for g, num, den in seen)
-    assert [x.fp for x in c] == [None] + list(range(1, p))
 
 
 def test_domain_follows_the_parameters():
@@ -280,27 +306,21 @@ def test_domain_follows_the_parameters():
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_fp_domain_arithmetic_and_charges(p):
     dom = FpDomain(p)
-
-    def charged(fn, *args):
-        before = work_done()
-        out = fn(*args)
-        return out, work_done() - before
-
     for a in range(p):
-        assert charged(dom.neg, a) == ((-a) % p, 0)
+        assert _charged(dom.neg, a) == ((-a) % p, 0)
         assert dom.is_zero(a) == (a == 0) and dom.is_one(a) == (a == 1)
         assert dom.const(a + 3 * p) == a and dom.pth_root(a) == a
         for b in range(p):
-            assert charged(dom.add, a, b) == ((a + b) % p, 0)
-            assert charged(dom.sub, a, b) == ((a - b) % p, 0)
-            # what Coefficient's integer fast path charges: 2 units for a
+            assert _charged(dom.add, a, b) == ((a + b) % p, 0)
+            assert _charged(dom.sub, a, b) == ((a - b) % p, 0)
+            # what Coefficient charges for constants: 2 units for a
             # product or quotient of nonzero elements, none with a zero
-            assert charged(dom.mul, a, b) == (a * b % p, 2 if a and b else 0)
+            assert _charged(dom.mul, a, b) == (a * b % p, 2 if a and b else 0)
             if b:
-                q, units = charged(dom.div, a, b)
+                q, units = _charged(dom.div, a, b)
                 assert q * b % p == a and units == (2 if a else 0)
         if a:
-            inv, units = charged(dom.inverse, a)
+            inv, units = _charged(dom.inverse, a)
             assert inv * a % p == 1 and units == 0
     with pytest.raises(ZeroDivisionError):
         dom.div(1, 0)

@@ -1,10 +1,13 @@
 """Charts, Jacobian criteria, blow-ups, covers, and the model pipeline."""
 
+import itertools
+
 import pytest
 
 from dpv.catalogue import RECORD_ORDER, load_example
 from dpv.groebner import buchberger, dimension, is_unit_ideal
 from dpv.parsing import parse_model, parse_poly, parse_ring
+from dpv.poly import Polynomial
 from dpv.ring import work_done
 from dpv.scheme import (
     Chart,
@@ -300,6 +303,66 @@ def test_cleared_nonsmooth_ideal_matches_uncleared_on_catalogue():
             assert cleared == reference, (record_id, c.name)
             checked.append((record_id, c.name))
     assert checked  # the e2-3 blow-up charts carry parameter denominators
+
+
+def _laplace_det(rows, ring):
+    """Laplace expansion along the first row that recomputes every smaller
+    minor for each column it drops."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    out = Polynomial.zero(ring)
+    for j, top in enumerate(rows[0]):
+        if top.is_zero():
+            continue
+        sub = _laplace_det([[r[k] for k in range(n) if k != j] for r in rows[1:]], ring)
+        if sub.is_zero():
+            continue
+        term = top * sub
+        out = out + (term if j % 2 == 0 else -term)
+    return out
+
+
+def reference_jacobian_minors(polys, ring, size, include_params):
+    """jacobian_minors by one plain expansion per row and column selection."""
+    if size == 0:
+        return [Polynomial.one(ring)]
+    colnames = list(ring.geom) + (list(ring.params) if include_params else [])
+    matrix = [[f.diff(nm) for nm in colnames] for f in polys]
+    seen = set()
+    out = []
+    for rsel in itertools.combinations(range(len(polys)), size):
+        for csel in itertools.combinations(range(len(colnames)), size):
+            det = _laplace_det([[matrix[r][c] for c in csel] for r in rsel], ring)
+            key = frozenset(det.terms.items())
+            if det.is_zero() or key in seen or frozenset((-det).terms.items()) in seen:
+                continue
+            seen.add(key)
+            out.append(det)
+    return out
+
+
+def test_shared_sub_minors_match_the_plain_expansion_on_catalogue():
+    spent = {"shared": 0, "plain": 0}
+
+    def run(fn, *args):
+        before = work_done()
+        minors = fn(*args)
+        return [list(m.terms.items()) for m in minors], work_done() - before
+
+    for record_id in RECORD_ORDER:
+        _, model = load_example(record_id)
+        for c in model.charts + model.extra_charts:
+            eqs = tuple(f.clear_denominators() for f in c.full_equations())
+            for include_params in (False, True):
+                args = (eqs, c.ring, c.codim, include_params)
+                got, units = run(jacobian_minors, *args)
+                want, ref_units = run(reference_jacobian_minors, *args)
+                assert got == want, (record_id, c.name, include_params)
+                assert units <= ref_units, (record_id, c.name, include_params)
+                spent["shared"] += units
+                spent["plain"] += ref_units
+    assert spent["shared"] < spent["plain"]
 
 
 @pytest.mark.parametrize(
