@@ -187,7 +187,6 @@ def buchberger(
 
     budget = Budget(limits.max_steps)
     G: list[Polynomial] = []
-    seen = set()
     # insert small generators first and pre-reduce: collapses redundant input
     for g in sorted(nonzero, key=lambda f: (f.total_degree(), len(f.terms))):
         h = reduce(g, G, order, budget) if G else g
@@ -195,12 +194,7 @@ def buchberger(
             continue
         if h.is_constant():
             return [Polynomial.one(ring)]
-        h = make_monic(h, order)
-        hk = frozenset(h.terms.items())
-        if hk in seen:
-            continue
-        seen.add(hk)
-        G.append(h)
+        G.append(make_monic(h, order))
 
     leads = [g.lead(order)[0] for g in G]
     pending: set[tuple[int, int]] = set()
@@ -213,8 +207,6 @@ def buchberger(
     processed = 0
     while heap:
         _, (i, j) = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
         pending.discard((i, j))
         processed += 1
         if processed > limits.max_pairs:

@@ -220,6 +220,8 @@ def parse_model(text: str) -> ModelDecl:
             if decl.ambient == "multiproj":
                 if sum(decl.factors) + len(decl.factors) != ring.ngeom:
                     raise ValueError("factor dimensions do not match the ring")
+                if any(w != 1 for w in ring.weights):
+                    raise ValueError("a product of projective spaces needs weight-1 variables")
                 rows = []
                 start = 0
                 for d in decl.factors:

@@ -12,7 +12,7 @@ mod-p arithmetic.
 from __future__ import annotations
 
 from .orders import grevlex_key
-from .ring import Coefficient, RingContext, pp_divexact, pp_gcd, pp_mul
+from .ring import Coefficient, RingContext
 
 INHOMOGENEOUS = "inhomogeneous"
 
@@ -167,25 +167,8 @@ class Polynomial:
         element of F_p[params], hence a unit of F_p(params).  f comes back
         unchanged when its coefficients are already polynomials, as ints mod
         p always are."""
-        if not self.ring.nparams:
-            return self
-        p = self.ring.p
-        lcm = None
-        for c in self.terms.values():
-            if c.is_polynomial():
-                continue
-            if lcm is None:
-                lcm = c.den
-            else:
-                lcm = pp_mul(lcm, pp_divexact(c.den, pp_gcd(lcm, c.den, p), p), p)
-        if lcm is None:
-            return self
-        one = {(0,) * self.ring.nparams: 1}
-        terms = {
-            e: Coefficient(p, pp_mul(c.num, pp_divexact(lcm, c.den, p), p), one, reduced=True)
-            for e, c in self.terms.items()
-        }
-        return Polynomial(self.ring, terms)
+        terms = self.ring.domain.clear_denominators(self.terms)
+        return self if terms is self.terms else Polynomial(self.ring, terms)
 
     # -- calculus -------------------------------------------------------------
 

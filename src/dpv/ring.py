@@ -650,6 +650,10 @@ class FpDomain:
         return a  # Frobenius fixes every element of F_p
 
     @staticmethod
+    def clear_denominators(terms: dict) -> dict:
+        return terms  # ints mod p have no denominators
+
+    @staticmethod
     def is_pth_power(a: int) -> bool:
         return True
 
@@ -684,6 +688,26 @@ class FractionDomain:
 
     def param(self, i: int) -> Coefficient:
         return Coefficient.from_param(i, self.p, self.nparams)
+
+    def clear_denominators(self, terms: dict) -> dict:
+        """The coefficients of terms times the lcm of their denominators, all
+        in F_p[params]; terms itself when none has a denominator."""
+        p = self.p
+        lcm = None
+        for c in terms.values():
+            if c.is_polynomial():
+                continue
+            if lcm is None:
+                lcm = c.den
+            else:
+                lcm = pp_mul(lcm, pp_divexact(c.den, pp_gcd(lcm, c.den, p), p), p)
+        if lcm is None:
+            return terms
+        one = {(0,) * self.nparams: 1}
+        return {
+            e: Coefficient(p, pp_mul(c.num, pp_divexact(lcm, c.den, p), p), one, reduced=True)
+            for e, c in terms.items()
+        }
 
     @staticmethod
     def format(a: Coefficient, names) -> str:

@@ -8,6 +8,14 @@ ring with equations and optional inverted elements (each inverted element u
 carries a companion variable u_inv and the relation u*u_inv - 1, so
 invertibility enters the ideal instead of being assumed).
 
+AmbientSpace.factor_blocks() is the one description of the ambient that
+charts and emptiness read: a weighted projective space is one block of all
+its variables, a product of projective spaces one block per factor.  The
+standard charts set one weight-1 variable of every block to 1, and a
+homogeneous ideal cuts out nothing in the ambient iff its radical holds the
+irrelevant ideal, generated by the products of one variable from every
+block (Cox, The homogeneous coordinate ring of a toric variety, 1995).
+
 Regularity uses the Jacobian criterion over the base field F_p(params) with
 derivations taken in both variable sorts: geometric columns detect smoothness
 over the algebraic closure, parameter columns supply the extra derivations
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 
 from .groebner import (
@@ -127,70 +136,47 @@ class SurfaceModel:
 
 
 def _standard_charts(ambient: AmbientSpace, equations) -> tuple[Chart, ...]:
-    ring = ambient.ring
+    """One chart per choice of a weight-1 variable from each factor block,
+    that variable set to 1 and dropped."""
+    weight = dict(zip(ambient.ring.geom, ambient.ring.weights))
+    blocks = [[v for v in b if weight[v] == 1] for b in ambient.factor_blocks()]
     out = []
-    if ambient.kind == "weighted_projective":
-        for name, w in zip(ring.geom, ring.weights):
-            if w != 1:
-                continue
-            eqs = tuple(f.dehomogenize(name) for f in equations)
-            cring = eqs[0].ring if eqs else ring.without_geom_var(name)
-            out.append(
-                Chart(
-                    name=f"D+({name})",
-                    ring=cring,
-                    equations=eqs,
-                    provenance="standard",
-                    from_vars=(name,),
-                )
-            )
-        return tuple(out)
-    # multiprojective: one dehomogenized variable per factor
-    for combo in itertools.product(*ambient.factor_blocks()):
-        eqs = list(equations)
+    for combo in itertools.product(*blocks):
+        eqs = tuple(equations)
+        cring = ambient.ring
         for name in combo:
-            eqs = [f.dehomogenize(name) for f in eqs]
-        if eqs:
-            cring = eqs[0].ring
-        else:
-            cring = ring
-            for name in combo:
-                cring = cring.without_geom_var(name)
+            eqs = tuple(f.dehomogenize(name) for f in eqs)
+            cring = cring.without_geom_var(name)
         out.append(
             Chart(
                 name="&".join(f"D+({v})" for v in combo),
                 ring=cring,
-                equations=tuple(eqs),
+                equations=eqs,
                 provenance="standard",
-                from_vars=tuple(combo),
+                from_vars=combo,
             )
         )
     return tuple(out)
 
 
 def _build_extra_chart(ring: RingContext, decl: ExtraChartDecl) -> Chart:
-    inv_names = []
-    for text in decl.invert:
-        base = text if text.isidentifier() else "q"
-        inv_names.append(f"{base}_inv")
     cring = RingContext(
         p=ring.p,
-        geom=tuple(decl.coords) + tuple(inv_names),
-        weights=(1,) * (len(decl.coords) + len(inv_names)),
+        geom=tuple(decl.coords),
+        weights=(1,) * len(decl.coords),
         params=ring.params,
         grading=(),
     )
-    inverted = tuple(
-        (parse_poly(cring, text), inv_names[i]) for i, text in enumerate(decl.invert)
-    )
-    eqs = tuple(parse_poly(cring, t) for t in decl.equations)
-    return Chart(
+    chart = Chart(
         name=decl.name,
         ring=cring,
-        equations=eqs,
-        inverted=inverted,
+        equations=tuple(parse_poly(cring, t) for t in decl.equations),
         provenance="extra",
     )
+    for text in decl.invert:
+        base = text if text.isidentifier() else "q"
+        chart = chart.with_inversion(parse_poly(chart.ring, text), base)
+    return chart
 
 
 def build_model(decl: ModelDecl, model_id: str, parents: dict | None = None, limits: Limits | None = None) -> SurfaceModel:
@@ -663,22 +649,17 @@ def subschemes_disjoint(
             continue
         certs.append((c.name, "unit" if unit else "not-unit"))
         all_unit = all_unit and unit
+    # the intersection misses the ambient iff its radical holds the
+    # irrelevant ideal, generated by one variable from every factor block
     ambient_gens = list(model.equations) + list(a_gens) + list(b_gens)
-    if model.ambient.kind == "weighted_projective":
-        ambient_empty = projective_is_empty(ambient_gens, list(ring.geom), limits)
-    else:
-        ambient_empty = True
-        for block_a, block_b in itertools.combinations(model.ambient.factor_blocks(), 2):
-            for va in block_a:
-                for vb in block_b:
-                    prod = Polynomial.variable(ring, va) * Polynomial.variable(ring, vb)
-                    if not radical_membership(prod, ambient_gens, limits):
-                        ambient_empty = False
-                        break
-                if not ambient_empty:
-                    break
-            if not ambient_empty:
-                break
+    ambient_empty = all(
+        radical_membership(
+            functools.reduce(operator.mul, (Polynomial.variable(ring, v) for v in combo)),
+            ambient_gens,
+            limits,
+        )
+        for combo in itertools.product(*model.ambient.factor_blocks())
+    )
     if any(v == "inconclusive" for _, v in certs):
         return DisjointnessReport(None, tuple(certs), tuple(notes))
     return DisjointnessReport(bool(ambient_empty and all_unit), tuple(certs), tuple(notes))

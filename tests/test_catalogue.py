@@ -194,3 +194,23 @@ def test_cross_model_check_reuses_the_records_own_verdicts(monkeypatch):
     monkeypatch.setattr(catalogue, "check_regular", counted)
     assert verify_example("e2-5-pencil").status == "pass"
     assert calls == ["e2-5-pencil", "e2-5-blowup"]
+
+
+def test_cross_model_extras_alone_match_the_full_run(monkeypatch):
+    # run alone, the extras check has no verdicts of its own record to reuse,
+    # so it computes both records' verdicts through verdict_tuple
+    calls = []
+    real = catalogue.check_regular
+
+    def counted(model, limits):
+        calls.append(model.model_id)
+        return real(model, limits)
+
+    full = verify_example("e2-5-pencil").check("extras")
+    monkeypatch.setattr(catalogue, "check_regular", counted)
+    alone = verify_example("e2-5-pencil", ("extras",))
+    assert [c.name for c in alone.checks] == ["extras"]
+    assert calls == ["e2-5-pencil", "e2-5-blowup"]
+    extras = alone.check("extras")
+    assert extras.status == "pass"
+    assert extras.computed == full.computed

@@ -135,3 +135,7 @@ def test_model_rejects_garbage():
         parse_model("ring p=3 geom x\nambient wproj\nfrobnicate x")
     with pytest.raises(ValueError):
         parse_model("ambient wproj")
+    # every variable of a product of projective spaces has weight 1: the
+    # standard charts set one variable of each factor to 1
+    with pytest.raises(ValueError, match="weight-1"):
+        parse_model("ring p=2 geom x:1 y:2 u:1 v:1\nambient multiproj 1 1")

@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 
-from dpv.catalogue import RECORD_ORDER, load_example
-from dpv.groebner import buchberger, dimension, is_unit_ideal
+from dpv import scheme
+from dpv.catalogue import RECORD_ORDER, _record, load_example
+from dpv.groebner import Inconclusive, buchberger, dimension, is_unit_ideal
 from dpv.parsing import parse_model, parse_poly, parse_ring
 from dpv.poly import Polynomial
 from dpv.ring import work_done
@@ -253,17 +254,116 @@ def test_ambient_check_weighted_strata():
     assert rep2.coverage == "uncovered"
 
 
-def test_subschemes_disjoint_toy_cases():
+P1_CUBED = """
+ring p=2 geom a0:1 a1:1 b0:1 b1:1 c0:1 c1:1 params s
+ambient multiproj 1 1 1
+hypersurface a0*b0*c0+s*a1*b1*c1
+"""
+
+PENCIL = """
+ring p=2 geom x:1 y:1 z:1 u:1 v:1 params s t
+ambient multiproj 2 1
+hypersurface u*(x^2+s*z^2)+v*(y^2+t*z^2)
+"""
+
+
+def _recorded_ambient_probes(monkeypatch):
+    probes = []
+    real = scheme.radical_membership
+
+    def recording(g, gens, limits=None):
+        probes.append(str(g))
+        return real(g, gens, limits)
+
+    monkeypatch.setattr(scheme, "radical_membership", recording)
+    return probes
+
+
+def test_subschemes_disjoint_toy_cases(monkeypatch):
     plane = build(PLANE, "plane")
     ring = plane.ring
     point = [parse_poly(ring, "x"), parse_poly(ring, "y")]
     line = [parse_poly(ring, "z")]
+    probes = _recorded_ambient_probes(monkeypatch)
     rep = subschemes_disjoint(plane, point, line, None)
     assert rep.disjoint is True
     assert all(v == "unit" for _, v in rep.chart_certificates)
+    # one block of all variables: each probe is a single variable itself
+    assert probes == ["x", "y", "z"]
 
     meet = subschemes_disjoint(plane, [parse_poly(ring, "x")], [parse_poly(ring, "y")], None)
     assert meet.disjoint is False
+
+
+def test_subschemes_disjoint_three_factor_product(monkeypatch):
+    # a0 = a1 = 0 is empty in P^1, so the two divisors miss each other; the
+    # pairwise products b_j*c_k do not lie in the radical of (F, a0, a1),
+    # only the products of one variable from each of the three factors do
+    m = build(P1_CUBED, "p1cubed")
+    probes = _recorded_ambient_probes(monkeypatch)
+    rep = subschemes_disjoint(m, [parse_poly(m.ring, "a0")], [parse_poly(m.ring, "a1")], None)
+    assert len(rep.chart_certificates) == 8
+    assert all(v == "unit" for _, v in rep.chart_certificates)
+    assert rep.disjoint is True
+    blocks = (("a0", "a1"), ("b0", "b1"), ("c0", "c1"))
+    assert probes == [str(parse_poly(m.ring, "*".join(c))) for c in itertools.product(*blocks)]
+
+
+def test_subschemes_disjoint_two_factor_product(monkeypatch):
+    m = build(PENCIL, "pencil")
+    ring = m.ring
+    probes = _recorded_ambient_probes(monkeypatch)
+    # u = v = 0 is empty in the P^1 factor
+    rep = subschemes_disjoint(m, [parse_poly(ring, "u")], [parse_poly(ring, "v")], None)
+    assert rep.disjoint is True
+    assert all(v == "unit" for _, v in rep.chart_certificates)
+    assert probes == [
+        str(parse_poly(ring, f"{a}*{b}")) for a, b in itertools.product("xyz", "uv")
+    ]
+    # x = y = 0 meets the surface at ([0:0:1], [t:s])
+    meet = subschemes_disjoint(m, [parse_poly(ring, "x")], [parse_poly(ring, "y")], None)
+    assert meet.disjoint is False
+    assert ("D+(z)&D+(u)", "not-unit") in meet.chart_certificates
+
+
+def test_subschemes_disjoint_inconclusive_chart(monkeypatch):
+    _, m = load_example("e2-2")
+    a_texts, b_texts = _record("e2-2").extra_data
+    a_gens = [parse_poly(m.ring, t) for t in a_texts]
+    b_gens = [parse_poly(m.ring, t) for t in b_texts]
+    real = scheme.is_unit_ideal
+
+    def trips_on_x1_chart(gens, order=None, limits=None):
+        if "x1" not in gens[0].ring.geom:
+            raise Inconclusive("pair limit 1 exceeded")
+        return real(gens, order, limits)
+
+    monkeypatch.setattr(scheme, "is_unit_ideal", trips_on_x1_chart)
+    rep = subschemes_disjoint(m, a_gens, b_gens, None)
+    assert rep.disjoint is None
+    assert rep.chart_certificates == (
+        ("D+(x0)", "unit"),
+        ("D+(x1)", "inconclusive"),
+        ("D+(x2)", "unit"),
+    )
+    assert rep.notes == ("chart D+(x1): pair limit 1 exceeded",)
+
+
+def test_extra_chart_inverts_non_identifier_texts():
+    m = build(
+        """
+        ring p=2 geom x:1 y:1 z:1 params s
+        ambient wproj
+        hypersurface x^2+s*y^2+z^2
+        extrachart name=U coords u v invert u+1 v+1 eq u^2+s*v^2+1
+        """
+    )
+    c = m.chart("U")
+    assert c.provenance == "extra"
+    assert c.ring.geom == ("u", "v", "q_inv", "q_inv_")
+    assert [(str(g), name) for g, name in c.inverted] == [("u + 1", "q_inv"), ("v + 1", "q_inv_")]
+    assert c.codim == 2
+    assert len(c.full_equations()) == 3
 
 
 def test_chart_singular_data_certificate_reduces():
