@@ -2,8 +2,9 @@
 
 Each record carries a model declaration in the small text grammar, the
 expected row data (Picard rank, K^2, h^1, normalization type: the last three
-are expected-only and never claimed as computed), the assumptions under which
-irreducibility is implied, and instructions for computing K^2 exactly.
+are expected-only and never claimed as computed), and the assumptions under
+which irreducibility is implied.  K^2 is computed exactly from the model
+itself (compute_k2).
 
 verify_example runs the chart-by-chart pipeline for one record and diffs the
 results against the expected row; verify_all runs every in-scope record.
@@ -58,7 +59,6 @@ class ExampleRecord:
     record_id: str
     expected: ExpectedRow
     model_text: str
-    k2_data: dict
     assumptions: tuple[str, ...] = ("proper", "H0=k", "Cohen-Macaulay")
     aux_models: tuple[tuple[str, str], ...] = ()  # (name, model text), in build order
     extras: str | None = None
@@ -175,7 +175,6 @@ _add(
         "e1-1-p3",
         _row(1, "1-1", 3, 1, 1, 0, "P^2"),
         _SEXTIC.format(p=3),
-        {"kind": "weighted_ci", "weights": (1, 1, 2, 3), "degrees": (6,)},
         notes=(
             "the chart U with y and z inverted covers the locus missed by the weight-1 charts",
         ),
@@ -186,7 +185,6 @@ _add(
         "e1-1-p2",
         _row(2, "1-1", 2, 1, 1, 0, "P^2"),
         _SEXTIC.format(p=2),
-        {"kind": "weighted_ci", "weights": (1, 1, 2, 3), "degrees": (6,)},
         notes=(
             "the chart U with y and z inverted covers the locus missed by the weight-1 charts",
         ),
@@ -197,7 +195,6 @@ _add(
         "e1-2",
         _row(2, "1-2", 2, 1, 2, 0, "P(1,1,2) or P^1 x P^1"),
         _E1_2,
-        {"kind": "weighted_ci", "weights": (1, 1, 1, 2), "degrees": (4,)},
     )
 )
 _add(
@@ -205,7 +202,6 @@ _add(
         "e1-3",
         _row(1, "1-3", 3, 1, 3, 0, "P(1,1,3)"),
         _E1_3,
-        {"kind": "weighted_ci", "weights": (1, 1, 1, 1), "degrees": (3,)},
         notes=(
             "the geometric singular locus is the line x = y with s^(1/3)z + t^(1/3)w = x "
             "over the algebraic closure; the coordinate line x = z = 0 is smooth on D+(w)",
@@ -217,7 +213,6 @@ _add(
         "e1-4",
         _row(2, "1-4", 2, 1, 4, 0, "P^2 or P^1 x P^1"),
         _E1_4,
-        {"kind": "weighted_ci", "weights": (1, 1, 1, 1, 1), "degrees": (2, 2)},
     )
 )
 _add(
@@ -225,7 +220,6 @@ _add(
         "e2-2",
         _row(2, "2-2", 2, 2, 2, 0, "P^1 x P^1", "C+C"),
         _E2_2,
-        {"kind": "weighted_ci", "weights": (1, 1, 1, 2), "degrees": (4,)},
         extras="disjoint_curves",
         extra_data=(
             ("y+s0*x0^2+s1*x1^2+s2*x2^2", "t0*x0^2+t1*x1^2+t2*x2^2"),
@@ -241,10 +235,6 @@ _add(
         "e2-3",
         _row(2, "2-3", 2, 2, 3, 0, "P_{P^1}(O + O(1))", "B+C"),
         _E2_3,
-        {
-            "kind": "blow_up",
-            "parent": {"kind": "weighted_ci", "weights": (1, 1, 1, 1, 1), "degrees": (2, 2)},
-        },
         aux_models=(("e1-4", _E1_4),),
         notes=(
             "verified through the blow-up presentation; the cubic-hypersurface "
@@ -257,7 +247,6 @@ _add(
         "e2-4",
         _row(2, "2-4", 2, 2, 4, 0, "P^1 x P^1", "C+C"),
         _E2_4,
-        {"kind": "cover", "factors": (1, 1), "bidegree": (1, 1)},
     )
 )
 _add(
@@ -265,7 +254,6 @@ _add(
         "e2-5-pencil",
         _row(2, "2-5", 2, 2, 5, 0, "P_{P^1}(O + O(1))", "B+C"),
         _E2_5_PENCIL,
-        {"kind": "product_hypersurface", "factors": (2, 1), "multidegree": (2, 1)},
         extras="cross_model",
         extra_data=("e2-5-blowup",),
     )
@@ -275,10 +263,6 @@ _add(
         "e2-5-blowup",
         _row(2, "2-5", 2, 2, 5, 0, "P_{P^1}(O + O(1))", "B+C"),
         _E2_5_BLOWUP,
-        {
-            "kind": "blow_up",
-            "parent": {"kind": "weighted_ci", "weights": (1, 1, 1), "degrees": ()},
-        },
         aux_models=(("plane", _PLANE),),
         extras="cross_model",
         extra_data=("e2-5-pencil",),
@@ -289,10 +273,6 @@ _add(
         "e2-6",
         _row(2, "2-6", 2, 2, 6, 0, "P_{P^1}(O + O(2))", "B+C"),
         _E2_6,
-        {
-            "kind": "blow_up",
-            "parent": {"kind": "weighted_ci", "weights": (1, 1, 1, 1), "degrees": (2,)},
-        },
         aux_models=(("quadric", _QUADRIC),),
     )
 )
@@ -459,18 +439,16 @@ def _expected_dict(rec: ExampleRecord) -> dict:
     }
 
 
-def compute_k2(k2_data: dict, model: SurfaceModel) -> tuple[int, dict]:
-    """Exact K^2 from a record's presentation, with a certificate of the
-    arithmetic used."""
-    kind = k2_data["kind"]
-    if kind == "weighted_ci":
-        w, d = list(k2_data["weights"]), list(k2_data["degrees"])
-        val = k2_weighted_ci(w, d)
-        assert val.denominator == 1
-        return int(val), {"method": "weighted_ci", "weights": w, "degrees": d}
-    if kind == "blow_up":
-        parent_val, parent_cert = compute_k2(k2_data["parent"], model.parent)
-        assert model.center_degree is not None
+def compute_k2(model: SurfaceModel) -> tuple[int, dict]:
+    """Exact K^2 read off the model, with a certificate of the arithmetic
+    used: the weighted complete-intersection formula (Iano-Fletcher 2000)
+    from the ring weights and the equation degrees, adjunction for a
+    hypersurface in a product of projective spaces, the cover formula from
+    the branch section's degree, and the drop by the center's degree for a
+    blow-up."""
+    ambient = model.ambient
+    if model.presentation == "blow_up":
+        parent_val, parent_cert = compute_k2(model.parent)
         val = blowup_k2(parent_val, model.center_degree)
         return val, {
             "method": "blow_up",
@@ -478,25 +456,26 @@ def compute_k2(k2_data: dict, model: SurfaceModel) -> tuple[int, dict]:
             "parent_k2": parent_val,
             "center_degree": model.center_degree,
         }
-    if kind == "cover":
-        lat = cover_lattice(list(k2_data["factors"]), list(k2_data["bidegree"]))
-        val = product(lat, lat.k(), lat.k())
-        return val, {
-            "method": "cover_lattice",
-            "gram": [list(r) for r in lat.gram],
-            "canonical": list(lat.canonical),
-        }
-    if kind == "product_hypersurface":
-        lat = hypersurface_lattice(
-            list(k2_data["factors"]), list(k2_data["multidegree"])
-        )
-        val = product(lat, lat.k(), lat.k())
-        return val, {
-            "method": "hypersurface_lattice",
-            "gram": [list(r) for r in lat.gram],
-            "canonical": list(lat.canonical),
-        }
-    raise ValueError(f"unknown k2 method {kind!r}")
+    degrees = [ambient.degree(f) for f in model.equations]
+    factors = list(ambient.factors)
+    if model.presentation == "hypersurfaces" and ambient.kind == "weighted_projective":
+        w, d = list(model.ring.weights), [deg for (deg,) in degrees]
+        val = k2_weighted_ci(w, d)
+        assert val.denominator == 1
+        return int(val), {"method": "weighted_ci", "weights": w, "degrees": d}
+    if model.presentation == "hypersurfaces":
+        (multidegree,) = degrees
+        lat, method = hypersurface_lattice(factors, list(multidegree)), "hypersurface_lattice"
+    elif model.presentation == "double_cover":
+        (branch,) = degrees
+        lat, method = cover_lattice(factors, [d // 2 for d in branch]), "cover_lattice"
+    else:
+        raise ValueError(f"no K^2 formula for presentation {model.presentation!r}")
+    return product(lat, lat.k(), lat.k()), {
+        "method": method,
+        "gram": [list(r) for r in lat.gram],
+        "canonical": list(lat.canonical),
+    }
 
 
 ALL_CHECKS = ("ambient", "regular", "geom_normal", "geom_integral", "k2", "extras")
@@ -646,7 +625,7 @@ def _check_geom_integral(rec: ExampleRecord, model: SurfaceModel, limits) -> Che
 
 
 def _check_k2(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:
-    val, cert = compute_k2(rec.k2_data, model)
+    val, cert = compute_k2(model)
     return CheckResult(
         "k2",
         "pass" if val == rec.expected.k2 else "fail",

@@ -6,7 +6,8 @@ Ring declaration:
 
 Polynomial expressions are whitespace-insensitive, use ^ for powers and
 require explicit *; identifiers may contain apostrophes (x').  Model texts
-stack further declarations on top of a ring line:
+stack further declarations on top of a ring line, and every model declares
+its ambient:
 
     ambient wproj                      # weights taken from the ring
     ambient multiproj 2 1              # factor dimensions, all weights 1
@@ -20,7 +21,7 @@ stack further declarations on top of a ring line:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .poly import Polynomial
 from .ring import RingContext
@@ -214,24 +215,16 @@ def parse_model(text: str) -> ModelDecl:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "ambient":
-            words = rest.split()
-            decl.ambient = words[0]
-            decl.factors = tuple(int(w) for w in words[1:])
-            if decl.ambient == "multiproj":
-                if sum(decl.factors) + len(decl.factors) != ring.ngeom:
+            kind, *dims = rest.split() or [None]
+            decl.ambient = kind
+            decl.factors = tuple(int(w) for w in dims)
+            if kind == "multiproj":
+                if not decl.factors or min(decl.factors) < 0 or sum(d + 1 for d in decl.factors) != ring.ngeom:
                     raise ValueError("factor dimensions do not match the ring")
                 if any(w != 1 for w in ring.weights):
                     raise ValueError("a product of projective spaces needs weight-1 variables")
-                rows = []
-                start = 0
-                for d in decl.factors:
-                    row = [0] * ring.ngeom
-                    for i in range(start, start + d + 1):
-                        row[i] = 1
-                    rows.append(tuple(row))
-                    start += d + 1
-                decl.ring = replace(ring, grading=tuple(rows))
-                ring = decl.ring
+            elif kind != "wproj" or dims:
+                raise ValueError(f"bad ambient {rest!r}: expected 'wproj' or 'multiproj DIMS'")
         elif head == "hypersurface":
             hyps.append(parse_poly(ring, rest))
         elif head == "extrachart":
@@ -244,6 +237,8 @@ def parse_model(text: str) -> ModelDecl:
             _parse_doublecover(decl, ring, rest)
         else:
             raise ValueError(f"unknown model declaration {head!r}")
+    if decl.ambient is None:
+        raise ValueError("model text needs an ambient line")
     decl.hypersurfaces = tuple(hyps)
     decl.extra_chart_decls = tuple(charts)
     return decl

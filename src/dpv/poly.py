@@ -14,18 +14,14 @@ from __future__ import annotations
 from .orders import grevlex_key
 from .ring import Coefficient, RingContext
 
-INHOMOGENEOUS = "inhomogeneous"
-
-
 class Polynomial:
-    __slots__ = ("ring", "terms", "_hash", "_lead")
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring: RingContext, terms: dict):
         """terms maps exponent tuples to nonzero coefficients of ring.domain;
         it is kept as given, not copied or filtered."""
         self.ring = ring
         self.terms = terms
-        self._hash = None
         self._lead = None
 
     # -- constructors --------------------------------------------------------
@@ -306,23 +302,6 @@ class Polynomial:
                 out[ne] = v
         return Polynomial(new_ring, out)
 
-    # -- grading ---------------------------------------------------------------
-
-    def weighted_degree(self):
-        """Degree under the ring grading: an int for a single grading row, a
-        tuple for a multigrading, INHOMOGENEOUS when terms disagree."""
-        grading = self.ring.effective_grading()
-        if self.is_zero():
-            return tuple(0 for _ in grading) if len(grading) > 1 else 0
-        degs = None
-        for e in self.terms:
-            d = tuple(sum(x * w for x, w in zip(e, row)) for row in grading)
-            if degs is None:
-                degs = d
-            elif degs != d:
-                return INHOMOGENEOUS
-        return degs if len(grading) > 1 else degs[0]
-
     def total_degree(self) -> int:
         if self.is_zero():
             return 0
@@ -338,9 +317,7 @@ class Polynomial:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.ring, frozenset(self.terms.items())))
 
     def __str__(self):
         if not self.terms:

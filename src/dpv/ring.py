@@ -721,10 +721,9 @@ class FractionDomain:
 
 @dataclass(frozen=True)
 class RingContext:
-    """Declares the ambient polynomial ring: characteristic, geometric
-    variables with weights, parameter variables, and an optional multigrading
-    (tuple of weight rows).  grading=None means the single row given by the
-    weights; grading=() marks an ungraded (affine chart) ring.
+    """Declares a polynomial ring: characteristic, geometric variables with
+    weights, and parameter variables.  The grading by factor blocks belongs to
+    the ambient (scheme.AmbientSpace), not to the ring.
 
     domain is the coefficient domain, derived from p and the parameters:
     FpDomain (ints mod p) without parameters, FractionDomain otherwise.
@@ -734,7 +733,6 @@ class RingContext:
     geom: tuple[str, ...]
     weights: tuple[int, ...]
     params: tuple[str, ...] = ()
-    grading: tuple[tuple[int, ...], ...] | None = field(default=None)
     domain: FpDomain | FractionDomain = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -747,10 +745,6 @@ class RingContext:
             raise ValueError("one weight per geometric variable required")
         if any(w < 1 for w in self.weights):
             raise ValueError("weights must be positive")
-        if self.grading is not None:
-            for row in self.grading:
-                if len(row) != len(self.geom):
-                    raise ValueError("grading row length mismatch")
         domain = FractionDomain(self.p, len(self.params)) if self.params else FpDomain(self.p)
         object.__setattr__(self, "domain", domain)
 
@@ -763,11 +757,6 @@ class RingContext:
     @property
     def nparams(self) -> int:
         return len(self.params)
-
-    def effective_grading(self) -> tuple[tuple[int, ...], ...]:
-        if self.grading is None:
-            return (self.weights,)
-        return self.grading
 
     def geom_index(self, name: str) -> int:
         try:
@@ -799,7 +788,6 @@ class RingContext:
             geom=self.geom[:i] + self.geom[i + 1 :],
             weights=self.weights[:i] + self.weights[i + 1 :],
             params=self.params,
-            grading=(),
         )
 
     def with_extra_geom_vars(self, names: tuple[str, ...]) -> "RingContext":
@@ -808,7 +796,6 @@ class RingContext:
             geom=self.geom + tuple(names),
             weights=self.weights + (1,) * len(names),
             params=self.params,
-            grading=(),
         )
 
     def fresh_name(self, base: str) -> str:

@@ -8,13 +8,17 @@ ring with equations and optional inverted elements (each inverted element u
 carries a companion variable u_inv and the relation u*u_inv - 1, so
 invertibility enters the ideal instead of being assumed).
 
-AmbientSpace.factor_blocks() is the one description of the ambient that
-charts and emptiness read: a weighted projective space is one block of all
-its variables, a product of projective spaces one block per factor.  The
-standard charts set one weight-1 variable of every block to 1, and a
-homogeneous ideal cuts out nothing in the ambient iff its radical holds the
-irrelevant ideal, generated by the products of one variable from every
-block (Cox, The homogeneous coordinate ring of a toric variety, 1995).
+AmbientSpace is the one description of the ambient: its factor blocks (a
+weighted projective space is one block of all its variables, a product of
+projective spaces one block per factor), the degree of a polynomial in each
+block, and the locus the standard charts miss.  The standard charts set one
+weight-1 variable of every block to 1.  On a weighted projective space they
+miss the points where every weight-1 variable vanishes; a product of
+projective spaces has all weights 1, and they miss nothing there (its
+irrelevant ideal is generated by the products of one variable from every
+block: Cox, The homogeneous coordinate ring of a toric variety, 1995).
+Ambient emptiness of a homogeneous ideal is therefore tested chart by chart
+and then on that locus alone.
 
 Regularity uses the Jacobian criterion over the base field F_p(params) with
 derivations taken in both variable sorts: geometric columns detect smoothness
@@ -26,8 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .groebner import (
     Inconclusive,
@@ -46,6 +49,8 @@ from .parsing import ExtraChartDecl, ModelDecl, parse_poly
 from .poly import Polynomial
 from .ring import RingContext
 
+INHOMOGENEOUS = "inhomogeneous"
+
 
 @dataclass(frozen=True)
 class AmbientSpace:
@@ -62,6 +67,28 @@ class AmbientSpace:
             blocks.append(self.ring.geom[start : start + d + 1])
             start += d + 1
         return tuple(blocks)
+
+    def degree(self, f: Polynomial) -> tuple[int, ...] | str:
+        """Weighted degree of f in each factor block, or INHOMOGENEOUS when
+        its terms disagree; zero has degree 0 in every block."""
+        ring = self.ring
+        blocks = [[ring.geom_index(v) for v in b] for b in self.factor_blocks()]
+        degs = {tuple(sum(e[i] * ring.weights[i] for i in b) for b in blocks) for e in f.terms}
+        if len(degs) > 1:
+            return INHOMOGENEOUS
+        return degs.pop() if degs else (0,) * len(blocks)
+
+    def uncharted_empty(self, gens, limits: Limits | None = None) -> bool:
+        """True iff the homogeneous gens cut out nothing where the standard
+        charts miss, i.e. where every weight-1 variable vanishes.  With all
+        weights 1 the charts cover the ambient and nothing is computed."""
+        ring = self.ring
+        weight1 = [v for v, w in zip(ring.geom, ring.weights) if w == 1]
+        heavy = [v for v, w in zip(ring.geom, ring.weights) if w > 1]
+        if not heavy:
+            return True
+        gens = list(gens) + [Polynomial.variable(ring, v) for v in weight1]
+        return projective_is_empty(gens, heavy, limits)
 
 
 @dataclass(frozen=True)
@@ -112,9 +139,10 @@ class SurfaceModel:
     model_id: str
     ambient: AmbientSpace
     presentation: str  # "hypersurfaces" | "double_cover" | "blow_up"
+    # in the ambient ring: the hypersurfaces, a double cover's branch
+    # section, a blow-up's parent equations
     equations: tuple[Polynomial, ...] = ()
     charts: tuple[Chart, ...] = ()
-    extra_charts: tuple[Chart, ...] = ()
     parent: "SurfaceModel | None" = None
     center_degree: int | None = None
     notes: tuple[str, ...] = ()
@@ -165,7 +193,6 @@ def _build_extra_chart(ring: RingContext, decl: ExtraChartDecl) -> Chart:
         geom=tuple(decl.coords),
         weights=(1,) * len(decl.coords),
         params=ring.params,
-        grading=(),
     )
     chart = Chart(
         name=decl.name,
@@ -180,8 +207,8 @@ def _build_extra_chart(ring: RingContext, decl: ExtraChartDecl) -> Chart:
 
 
 def build_model(decl: ModelDecl, model_id: str, parents: dict | None = None, limits: Limits | None = None) -> SurfaceModel:
-    """Assemble a SurfaceModel from a parsed declaration."""
-    ring = decl.ring
+    """Assemble a SurfaceModel from a parsed declaration.  A hypersurface
+    that is not homogeneous in the ambient is rejected with ValueError."""
     if decl.blowup_parent is not None:
         if not parents or decl.blowup_parent not in parents:
             raise KeyError(f"unknown blow-up parent {decl.blowup_parent!r}")
@@ -193,20 +220,20 @@ def build_model(decl: ModelDecl, model_id: str, parents: dict | None = None, lim
             model_id=model_id,
             limits=limits,
         )
-    if decl.cover_section is not None:
-        ambient = AmbientSpace("multiprojective", ring, decl.factors)
-        return double_cover(ambient, decl.cover_section, decl.cover_bidegree, model_id)
     kind = "weighted_projective" if decl.ambient == "wproj" else "multiprojective"
-    ambient = AmbientSpace(kind, ring, decl.factors)
-    extra = tuple(_build_extra_chart(ring, d) for d in decl.extra_chart_decls)
-    charts = _standard_charts(ambient, decl.hypersurfaces) + extra
+    ambient = AmbientSpace(kind, decl.ring, decl.factors)
+    if decl.cover_section is not None:
+        return double_cover(ambient, decl.cover_section, decl.cover_bidegree, model_id)
+    for f in decl.hypersurfaces:
+        if ambient.degree(f) == INHOMOGENEOUS:
+            raise ValueError(f"hypersurface {f} is not homogeneous in the ambient")
+    extra = tuple(_build_extra_chart(decl.ring, d) for d in decl.extra_chart_decls)
     return SurfaceModel(
         model_id=model_id,
         ambient=ambient,
         presentation="hypersurfaces",
         equations=decl.hypersurfaces,
-        charts=charts,
-        extra_charts=extra,
+        charts=_standard_charts(ambient, decl.hypersurfaces) + extra,
     )
 
 
@@ -324,7 +351,7 @@ def double_cover(
     """Double cover of a product of projective lines branched over a section
     of the square of the given bidegree; one chart per trivializing product
     chart of the base, with cover variable w."""
-    deg = section.weighted_degree()
+    deg = ambient.degree(section)
     expected = tuple(2 * b for b in bidegree)
     if deg != expected:
         raise ValueError(f"section degree {deg} is not twice the bidegree {bidegree}")
@@ -349,7 +376,7 @@ def double_cover(
         model_id=model_id,
         ambient=ambient,
         presentation="double_cover",
-        equations=(),
+        equations=(section,),
         charts=tuple(charts),
     )
 
@@ -394,23 +421,18 @@ def ambient_check(model: SurfaceModel, limits: Limits | None = None) -> AmbientR
         empty = projective_is_empty(gens, kept, limits)
         strata.append((d, empty))
         ok = ok and empty
-    weight1 = [v for v, w in zip(ring.geom, ring.weights) if w == 1]
-    heavy = [v for v, w in zip(ring.geom, ring.weights) if w > 1]
     coverage = "covered"
     notes: list[str] = []
-    if heavy:
-        gens = list(model.equations) + [Polynomial.variable(ring, v) for v in weight1]
-        covered = projective_is_empty(gens, heavy, limits)
-        if not covered:
-            if model.extra_charts:
-                coverage = "asserted"
-                notes.append(
-                    "weight-1 charts do not cover; remaining locus asserted covered by the declared extra charts"
-                )
-            else:
-                coverage = "uncovered"
-                ok = False
-                notes.append("weight-1 charts do not cover and no extra charts are declared")
+    if not ambient.uncharted_empty(model.equations, limits):
+        if any(c.provenance == "extra" for c in model.charts):
+            coverage = "asserted"
+            notes.append(
+                "weight-1 charts do not cover; remaining locus asserted covered by the declared extra charts"
+            )
+        else:
+            coverage = "uncovered"
+            ok = False
+            notes.append("weight-1 charts do not cover and no extra charts are declared")
     return AmbientReport(ok=ok, strata=tuple(strata), coverage=coverage, notes=tuple(notes))
 
 
@@ -468,9 +490,10 @@ def jacobian_minors(
     return out
 
 
-def nonsmooth_ideal(chart: Chart, codim: int | None = None, include_params: bool = False) -> list[Polynomial]:
+def nonsmooth_ideal(chart: Chart, include_params: bool = False) -> list[Polynomial]:
     """Generators of the locus where the derivation matrix drops below the
-    expected rank: chart equations plus all codim x codim minors.
+    expected rank: chart equations plus all codim x codim minors, for the
+    chart's codimension.
 
     Each equation is first multiplied by the lcm c of its coefficient
     denominators, so the minors are built without parameter fractions.  The
@@ -481,10 +504,8 @@ def nonsmooth_ideal(chart: Chart, codim: int | None = None, include_params: bool
     already contains.  geometric_integrality builds its minors from the
     uncleared equations instead, because its report prints the witness
     minor and its index."""
-    if codim is None:
-        codim = chart.codim
     eqs = tuple(f.clear_denominators() for f in chart.full_equations())
-    minors = jacobian_minors(eqs, chart.ring, codim, include_params)
+    minors = jacobian_minors(eqs, chart.ring, chart.codim, include_params)
     gens = list(eqs)
     for m in minors:
         if m not in gens:
@@ -628,11 +649,11 @@ def subschemes_disjoint(
     limits: Limits | None = None,
 ) -> DisjointnessReport:
     """Emptiness of the intersection of two homogeneous subschemes of the
-    model, with a unit-ideal certificate on every chart."""
-    ring = model.ring
+    model: a unit-ideal certificate on every standard chart, then emptiness
+    on the locus those charts miss.  A not-unit chart decides False and an
+    inconclusive one None, with no ambient test."""
     certs = []
     notes: list[str] = []
-    all_unit = True
     for c in model.charts:
         if not c.from_vars:
             notes.append(f"chart {c.name} skipped (no ambient restriction)")
@@ -645,21 +666,14 @@ def subschemes_disjoint(
         except Inconclusive as exc:
             certs.append((c.name, "inconclusive"))
             notes.append(f"chart {c.name}: {exc}")
-            all_unit = False
             continue
         certs.append((c.name, "unit" if unit else "not-unit"))
-        all_unit = all_unit and unit
-    # the intersection misses the ambient iff its radical holds the
-    # irrelevant ideal, generated by one variable from every factor block
-    ambient_gens = list(model.equations) + list(a_gens) + list(b_gens)
-    ambient_empty = all(
-        radical_membership(
-            functools.reduce(operator.mul, (Polynomial.variable(ring, v) for v in combo)),
-            ambient_gens,
-            limits,
-        )
-        for combo in itertools.product(*model.ambient.factor_blocks())
-    )
-    if any(v == "inconclusive" for _, v in certs):
-        return DisjointnessReport(None, tuple(certs), tuple(notes))
-    return DisjointnessReport(bool(ambient_empty and all_unit), tuple(certs), tuple(notes))
+    verdicts = {v for _, v in certs}
+    if "not-unit" in verdicts:
+        disjoint = False
+    elif "inconclusive" in verdicts:
+        disjoint = None
+    else:
+        gens = list(model.equations) + list(a_gens) + list(b_gens)
+        disjoint = model.ambient.uncharted_empty(gens, limits)
+    return DisjointnessReport(disjoint, tuple(certs), tuple(notes))

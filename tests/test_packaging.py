@@ -1,0 +1,23 @@
+"""Promises pyproject.toml makes about the package."""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _oldest_python() -> tuple[int, int]:
+    text = (ROOT / "pyproject.toml").read_text()
+    major, minor = re.search(r'requires-python\s*=\s*">=(\d+)\.(\d+)"', text).groups()
+    return int(major), int(minor)
+
+
+def test_sources_parse_under_the_oldest_supported_python():
+    # ast parses with the older grammar, so syntax newer than it (except*,
+    # type-parameter lists, ...) fails here without that interpreter
+    version = _oldest_python()
+    sources = sorted((ROOT / "src" / "dpv").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)

@@ -4,6 +4,7 @@ import pytest
 
 from dpv.parsing import parse_ideal_lines, parse_model, parse_poly, parse_ring
 from dpv.poly import Polynomial
+from dpv.scheme import build_model
 
 
 def test_ring_declaration():
@@ -80,7 +81,7 @@ def test_model_declaration_hypersurface():
     )
     assert decl.ambient == "wproj"
     assert len(decl.hypersurfaces) == 1
-    assert decl.hypersurfaces[0].weighted_degree() == 6
+    assert build_model(decl, "m").ambient.degree(decl.hypersurfaces[0]) == (6,)
     (ec,) = decl.extra_chart_decls
     assert ec.name == "U"
     assert ec.coords == ("x0", "x1", "u")
@@ -114,7 +115,7 @@ def test_model_declaration_doublecover():
     assert decl.factors == (1, 1)
     assert decl.cover_bidegree == (1, 1)
     assert decl.cover_section is not None
-    assert decl.cover_section.weighted_degree() == (2, 2)
+    assert build_model(decl, "m").ambient.degree(decl.cover_section) == (2, 2)
 
 
 def test_model_declaration_localize():
@@ -139,3 +140,16 @@ def test_model_rejects_garbage():
     # standard charts set one variable of each factor to 1
     with pytest.raises(ValueError, match="weight-1"):
         parse_model("ring p=2 geom x:1 y:2 u:1 v:1\nambient multiproj 1 1")
+    # an ambient is wproj or multiproj with factor dimensions, and required
+    for text in [
+        "ring p=2 geom x y z\nambient foo\nhypersurface x*y+z^2",
+        "ring p=2 geom x y z\nhypersurface x*y+z^2",
+        "ring p=2 geom x y z:2\nambient wproj 2\nhypersurface x*y+z",
+    ]:
+        with pytest.raises(ValueError, match="ambient"):
+            parse_model(text)
+    # a hypersurface must be homogeneous for its ambient, or its charts do
+    # not glue
+    decl = parse_model("ring p=2 geom x y z params s\nambient wproj\nhypersurface x^2+s*y+z")
+    with pytest.raises(ValueError, match="homogeneous"):
+        build_model(decl, "m")

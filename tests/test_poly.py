@@ -134,13 +134,6 @@ def test_clear_denominators_uses_the_lcm():
     assert f.clear_denominators() == parse_poly(RING3, "(s+1)*x + t*y + (s^2*t+s*t)*z")
 
 
-def test_weighted_degree():
-    f = parse_poly(RING2, "y^3+x^6")  # y has weight 2
-    assert f.weighted_degree() == 6
-    assert parse_poly(RING2, "s*x").weighted_degree() == 1
-    assert Polynomial.zero(RING2).weighted_degree() == 0
-
-
 def test_dehomogenize():
     ring = parse_ring("ring p=3 geom x y z params s")
     f = parse_poly(ring, "x^2*y+s*z^3")
@@ -190,7 +183,7 @@ def test_change_ring_moves_exponents_only(f, g):
     # objects and no work units, over F_2 and over F_2(s)
     for h in (f, g):
         ring = h.ring
-        big = RingContext(ring.p, ("z", "w", "x", "y"), (1, 1, 1, 1), ring.params, ())
+        big = RingContext(ring.p, ("z", "w", "x", "y"), (1, 1, 1, 1), ring.params)
         before = work_done()
         up = h.change_ring(big)
         down = up.change_ring(ring)

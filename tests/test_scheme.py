@@ -4,13 +4,15 @@ import itertools
 
 import pytest
 
-from dpv import scheme
+from dpv import groebner, scheme
 from dpv.catalogue import RECORD_ORDER, _record, load_example
 from dpv.groebner import Inconclusive, buchberger, dimension, is_unit_ideal
 from dpv.parsing import parse_model, parse_poly, parse_ring
 from dpv.poly import Polynomial
 from dpv.ring import work_done
 from dpv.scheme import (
+    INHOMOGENEOUS,
+    AmbientSpace,
     Chart,
     ambient_check,
     blow_up,
@@ -73,6 +75,20 @@ def test_standard_charts_product():
     c = m.chart("D+(z)&D+(v)")
     assert set(c.ring.geom) == {"x", "y", "u"}
     assert c.codim == 1
+
+
+def test_ambient_degree():
+    ring = parse_ring("ring p=3 geom x:1 y:2 params s")
+    wp = AmbientSpace("weighted_projective", ring)
+    assert wp.degree(parse_poly(ring, "y^3+x^6")) == (6,)  # y has weight 2
+    assert wp.degree(parse_poly(ring, "s*x")) == (1,)
+    assert wp.degree(Polynomial.zero(ring)) == (0,)
+    assert wp.degree(parse_poly(ring, "y+x")) == INHOMOGENEOUS
+    # a product of projective spaces: one degree per factor block
+    pencil = build(PENCIL).ambient
+    assert pencil.degree(parse_poly(pencil.ring, "u*x^2+s*v*y*z")) == (2, 1)
+    assert pencil.degree(Polynomial.zero(pencil.ring)) == (0, 0)
+    assert pencil.degree(parse_poly(pencil.ring, "u*x+v*x^2")) == INHOMOGENEOUS
 
 
 def test_chart_inversion_bookkeeping():
@@ -268,14 +284,16 @@ hypersurface u*(x^2+s*z^2)+v*(y^2+t*z^2)
 
 
 def _recorded_ambient_probes(monkeypatch):
+    # the test of the locus the standard charts miss is the only caller of
+    # radical_membership (through projective_is_empty) in disjointness
     probes = []
-    real = scheme.radical_membership
+    real = groebner.radical_membership
 
     def recording(g, gens, limits=None):
         probes.append(str(g))
         return real(g, gens, limits)
 
-    monkeypatch.setattr(scheme, "radical_membership", recording)
+    monkeypatch.setattr(groebner, "radical_membership", recording)
     return probes
 
 
@@ -288,11 +306,36 @@ def test_subschemes_disjoint_toy_cases(monkeypatch):
     rep = subschemes_disjoint(plane, point, line, None)
     assert rep.disjoint is True
     assert all(v == "unit" for _, v in rep.chart_certificates)
-    # one block of all variables: each probe is a single variable itself
-    assert probes == ["x", "y", "z"]
+    # all weights 1: the standard charts cover P^2 and decide alone
+    assert probes == []
 
     meet = subschemes_disjoint(plane, [parse_poly(ring, "x")], [parse_poly(ring, "y")], None)
     assert meet.disjoint is False
+    assert ("D+(z)", "not-unit") in meet.chart_certificates
+    assert probes == []
+
+
+P112 = """
+ring p=3 geom x:1 y:1 z:2
+ambient wproj
+"""
+
+
+def test_subschemes_disjoint_weighted_tests_only_the_heavy_variable(monkeypatch):
+    m = build(P112, "p112")
+    ring = m.ring
+    probes = _recorded_ambient_probes(monkeypatch)
+    # x = 0 and y = 0 meet only at [0:0:1], which no weight-1 chart sees
+    meet = subschemes_disjoint(m, [parse_poly(ring, "x")], [parse_poly(ring, "y")], None)
+    assert meet.chart_certificates == (("D+(x)", "unit"), ("D+(y)", "unit"))
+    assert meet.disjoint is False
+    assert probes == ["z"]
+    # the point [0:1:0] misses the line y = 0; the probe rules out [0:0:1]
+    probes.clear()
+    point = [parse_poly(ring, "x"), parse_poly(ring, "z")]
+    rep = subschemes_disjoint(m, point, [parse_poly(ring, "y")], None)
+    assert rep.disjoint is True
+    assert probes == ["z"]
 
 
 def test_subschemes_disjoint_three_factor_product(monkeypatch):
@@ -305,8 +348,8 @@ def test_subschemes_disjoint_three_factor_product(monkeypatch):
     assert len(rep.chart_certificates) == 8
     assert all(v == "unit" for _, v in rep.chart_certificates)
     assert rep.disjoint is True
-    blocks = (("a0", "a1"), ("b0", "b1"), ("c0", "c1"))
-    assert probes == [str(parse_poly(m.ring, "*".join(c))) for c in itertools.product(*blocks)]
+    # the product charts cover P^1 x P^1 x P^1: no ambient probe
+    assert probes == []
 
 
 def test_subschemes_disjoint_two_factor_product(monkeypatch):
@@ -317,13 +360,12 @@ def test_subschemes_disjoint_two_factor_product(monkeypatch):
     rep = subschemes_disjoint(m, [parse_poly(ring, "u")], [parse_poly(ring, "v")], None)
     assert rep.disjoint is True
     assert all(v == "unit" for _, v in rep.chart_certificates)
-    assert probes == [
-        str(parse_poly(ring, f"{a}*{b}")) for a, b in itertools.product("xyz", "uv")
-    ]
+    assert probes == []
     # x = y = 0 meets the surface at ([0:0:1], [t:s])
     meet = subschemes_disjoint(m, [parse_poly(ring, "x")], [parse_poly(ring, "y")], None)
     assert meet.disjoint is False
     assert ("D+(z)&D+(u)", "not-unit") in meet.chart_certificates
+    assert probes == []
 
 
 def test_subschemes_disjoint_inconclusive_chart(monkeypatch):
@@ -452,7 +494,7 @@ def test_shared_sub_minors_match_the_plain_expansion_on_catalogue():
 
     for record_id in RECORD_ORDER:
         _, model = load_example(record_id)
-        for c in model.charts + model.extra_charts:
+        for c in model.charts:
             eqs = tuple(f.clear_denominators() for f in c.full_equations())
             for include_params in (False, True):
                 args = (eqs, c.ring, c.codim, include_params)
