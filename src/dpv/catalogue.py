@@ -418,6 +418,9 @@ class VerificationReport:
         }
 
 
+_FLAG = {True: "yes", False: "no", None: "inconclusive"}
+
+
 def _expected_dict(rec: ExampleRecord) -> dict:
     e = rec.expected
     return {
@@ -426,9 +429,9 @@ def _expected_dict(rec: ExampleRecord) -> dict:
         "p": e.p,
         "k2": e.k2,
         "flags": {
-            "regular": "yes" if e.regular else "no",
-            "geom_integral": "yes" if e.geom_integral else "no",
-            "geom_normal": "yes" if e.geom_normal else "no",
+            "regular": _FLAG[e.regular],
+            "geom_integral": _FLAG[e.geom_integral],
+            "geom_normal": _FLAG[e.geom_normal],
         },
         "expected_only": {
             "rho": e.rho,
@@ -550,77 +553,67 @@ def _check_ambient(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResu
     )
 
 
+def _status(verdict: bool | None, expected: bool) -> str:
+    return "inconclusive" if verdict is None else ("pass" if verdict == expected else "fail")
+
+
+def _undecided(charts) -> list[str]:
+    """'<chart>: <reason>' for every chart a resource limit stopped."""
+    return [f"{v.chart}: {v.limit}" for v in charts if v.value is None]
+
+
+def _chart_certificate(v, detail: str, **fields) -> dict:
+    """One chart's entry in a per-chart certificate."""
+    return {"chart": v.chart, "provenance": v.provenance, "detail": detail, **fields}
+
+
 def _check_regular(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:
-    verdict, per_chart = check_regular(model, limits)
-    expected = "yes" if rec.expected.regular else "no"
-    status = (
-        "inconclusive"
-        if verdict == "inconclusive"
-        else ("pass" if verdict == expected else "fail")
-    )
-    cert = [
-        {
-            "chart": r.name,
-            "provenance": r.provenance,
-            "verdict": r.verdict,
-            "detail": r.detail,
-        }
-        for r in per_chart
-    ]
+    verdict, charts = check_regular(model, limits)
+    details = {True: "non-regular locus ideal is the unit ideal", False: "non-regular locus is nonempty"}
+    cert = [_chart_certificate(v, details.get(v.value, v.limit), verdict=_FLAG[v.value]) for v in charts]
     return CheckResult(
         "regular",
-        status,
-        expected=expected,
-        computed=verdict,
+        _status(verdict, rec.expected.regular),
+        expected=_FLAG[rec.expected.regular],
+        computed=_FLAG[verdict],
         certificate=cert,
-        note="; ".join(f"{r.name}: {r.detail}" for r in per_chart if r.verdict == "inconclusive"),
+        note="; ".join(_undecided(charts)),
     )
 
 
 def _check_geom_normal(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:
-    normal, data = is_geometrically_normal(model, limits)
-    expected = "yes" if rec.expected.geom_normal else "no"
-    if normal is None:
-        status, computed, dim = "inconclusive", None, None
-    else:
-        computed = "yes" if normal else "no"
-        status = "pass" if computed == expected else "fail"
-        dim = max(d.dim for d in data)
-    cert = [
-        {
-            "chart": d.name,
-            "provenance": d.provenance,
-            "dim": d.dim,
-            "basis": list(d.certificate),
-            "detail": d.detail,
-        }
-        for d in data
-    ]
+    normal, charts = is_geometrically_normal(model, limits)
+    data = [v.value or (None, ()) for v in charts]
+    # a maximum over some of the charts is only a lower bound
+    dim = None if any(v.value is None for v in charts) else max(d for d, _ in data)
+    cert = [_chart_certificate(v, v.limit, dim=d, basis=list(basis)) for v, (d, basis) in zip(charts, data)]
     return CheckResult(
         "geom_normal",
-        status,
-        expected=expected,
-        computed={"geom_normal": computed, "singular_dimension": dim},
+        _status(normal, rec.expected.geom_normal),
+        expected=_FLAG[rec.expected.geom_normal],
+        computed={"geom_normal": None if normal is None else _FLAG[normal], "singular_dimension": dim},
         certificate=cert,
-        note="; ".join(f"{d.name}: {d.detail}" for d in data if d.dim is None),
+        note="; ".join(_undecided(charts)),
     )
 
 
 def _check_geom_integral(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:
     res = geometric_integrality(model, rec.assumptions, limits)
-    expected = "yes" if rec.expected.geom_integral else "no"
-    computed = "yes" if res["integral"] else "no"
+    irreducible = "irreducibility implied by regularity with properness and H0 = k on record"
+    note = "; ".join(_undecided(res["charts"]) + [irreducible])
+    if res["reduced"] is None:
+        return CheckResult("geom_integral", "inconclusive", note=note)
     return CheckResult(
         "geom_integral",
-        "pass" if computed == expected else "fail",
-        expected=expected,
+        _status(res["integral"], rec.expected.geom_integral),
+        expected=_FLAG[rec.expected.geom_integral],
         computed={
-            "geom_integral": computed,
+            "geom_integral": _FLAG[res["integral"]],
             "reduced": res["reduced"],
             "irreducible": res["irreducible"],
         },
         certificate={"smooth_point_witness": res["witness"]},
-        note="irreducibility implied by regularity with properness and H0 = k on record",
+        note=note,
     )
 
 
@@ -645,10 +638,9 @@ def _run_extras(rec: ExampleRecord, model: SurfaceModel, limits, done) -> CheckR
         rep = subschemes_disjoint(model, a_gens, b_gens, limits)
         if rep.disjoint is None:
             return CheckResult("extras", "inconclusive", note="; ".join(rep.notes))
-        status = "pass" if rep.disjoint else "fail"
         return CheckResult(
             "extras",
-            status,
+            _status(rep.disjoint, True),
             expected={"disjoint": True},
             computed={"disjoint": rep.disjoint},
             certificate={

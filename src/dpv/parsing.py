@@ -299,11 +299,9 @@ def _parse_blowup(decl: ModelDecl, rest: str) -> None:
 
 def _parse_doublecover(decl: ModelDecl, ring: RingContext, rest: str) -> None:
     words = rest.split()
-    if words[0] != "bidegree":
-        raise ValueError("doublecover starts with bidegree")
+    if len(words) < 5 or words[0] != "bidegree" or words[3] != "section":
+        raise ValueError("doublecover takes 'bidegree B1 B2 section EXPR'")
     b1, b2 = int(words[1]), int(words[2])
-    if words[3] != "section":
-        raise ValueError("doublecover needs a section")
     sec = rest.split("section", 1)[1].strip()
     decl.cover_bidegree = (b1, b2)
     decl.cover_section = parse_poly(ring, sec)

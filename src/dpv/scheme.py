@@ -24,6 +24,12 @@ Regularity uses the Jacobian criterion over the base field F_p(params) with
 derivations taken in both variable sorts: geometric columns detect smoothness
 over the algebraic closure, parameter columns supply the extra derivations
 that distinguish regular-but-not-smooth points.
+
+Every check is decided chart by chart, and by any chart that decides it,
+even when a resource limit stopped another chart (chart_by_chart,
+every_chart).  A check that must hold on every chart (regular, geom_normal,
+disjointness) fails on one failing chart, and is None when none fails and
+some chart was stopped; reducedness holds at the first smooth-point witness.
 """
 
 from __future__ import annotations
@@ -208,20 +214,24 @@ def _build_extra_chart(ring: RingContext, decl: ExtraChartDecl) -> Chart:
 
 def build_model(decl: ModelDecl, model_id: str, parents: dict | None = None, limits: Limits | None = None) -> SurfaceModel:
     """Assemble a SurfaceModel from a parsed declaration.  A hypersurface
-    that is not homogeneous in the ambient is rejected with ValueError."""
+    that is not homogeneous in the ambient, or a blow-up whose declared ring
+    or ambient differs from its parent's, is rejected with ValueError."""
+    kind = "weighted_projective" if decl.ambient == "wproj" else "multiprojective"
+    ambient = AmbientSpace(kind, decl.ring, decl.factors)
     if decl.blowup_parent is not None:
         if not parents or decl.blowup_parent not in parents:
             raise KeyError(f"unknown blow-up parent {decl.blowup_parent!r}")
+        parent = parents[decl.blowup_parent]
+        if ambient != parent.ambient:
+            raise ValueError(f"blow-up declares a ring or ambient other than its parent {decl.blowup_parent!r}'s")
         return blow_up(
-            parents[decl.blowup_parent],
+            parent,
             decl.blowup_chart,
             decl.blowup_center,
             localize=decl.localize,
             model_id=model_id,
             limits=limits,
         )
-    kind = "weighted_projective" if decl.ambient == "wproj" else "multiprojective"
-    ambient = AmbientSpace(kind, decl.ring, decl.factors)
     if decl.cover_section is not None:
         return double_cover(ambient, decl.cover_section, decl.cover_bidegree, model_id)
     for f in decl.hypersurfaces:
@@ -535,93 +545,103 @@ def pth_root_closure(gens: list[Polynomial], limits: Limits | None = None) -> li
         basis = buchberger(basis + fresh, order, limits)
 
 
-@dataclass
-class ChartRegularity:
-    name: str
+@dataclass(frozen=True)
+class ChartVerdict:
+    """What one chart decided for one check: the decided value, or None
+    when a resource limit stopped the chart, with the limit's message."""
+
+    chart: str
     provenance: str
-    verdict: str  # "yes" | "no" | "inconclusive"
-    detail: str = ""
+    value: object
+    limit: str
+
+
+def chart_by_chart(charts, decide, until=lambda value: False) -> list[ChartVerdict]:
+    """Run decide on each chart in order.  A chart whose decision trips a
+    resource limit is recorded undecided and the loop goes on; it stops at
+    the first decided value that until accepts."""
+    out = []
+    for c in charts:
+        try:
+            value, limit = decide(c), ""
+        except Inconclusive as exc:
+            value, limit = None, str(exc)
+        out.append(ChartVerdict(c.name, c.provenance, value, limit))
+        if value is not None and until(value):
+            break
+    return out
+
+
+def every_chart(verdicts, holds=bool) -> bool | None:
+    """False when some decided chart fails holds, otherwise None when some
+    chart is undecided, otherwise True."""
+    if any(v.value is not None and not holds(v.value) for v in verdicts):
+        return False
+    if any(v.value is None for v in verdicts):
+        return None
+    return True
 
 
 def check_regular(model: SurfaceModel, limits: Limits | None = None):
-    """Jacobian criterion with parameter derivations, chart by chart.
-    Returns (overall verdict, per-chart records)."""
-    per_chart = []
-    overall = "yes"
-    for c in model.charts:
-        try:
-            gens = nonsmooth_ideal(c, include_params=True)
-            unit = is_unit_ideal(gens, limits=limits)
-            verdict = "yes" if unit else "no"
-            detail = "non-regular locus ideal is the unit ideal" if unit else "non-regular locus is nonempty"
-        except Inconclusive as exc:
-            verdict = "inconclusive"
-            detail = str(exc)
-        per_chart.append(ChartRegularity(c.name, c.provenance, verdict, detail))
-        if verdict == "no":
-            overall = "no"
-        elif verdict == "inconclusive" and overall == "yes":
-            overall = "inconclusive"
-    return overall, per_chart
+    """Jacobian criterion with parameter derivations: the non-regular locus
+    ideal is the unit ideal on every chart.  Returns (True/False/None,
+    per-chart verdicts)."""
+    charts = chart_by_chart(
+        model.charts,
+        lambda c: is_unit_ideal(nonsmooth_ideal(c, include_params=True), limits=limits),
+    )
+    return every_chart(charts), charts
 
 
-@dataclass
-class ChartSingularity:
-    name: str
-    provenance: str
-    dim: int | None  # None = inconclusive
-    certificate: tuple[str, ...] = ()
-    detail: str = ""
-
-
-def chart_singular_data(chart: Chart, limits: Limits | None = None) -> ChartSingularity:
+def chart_singular_data(chart: Chart, limits: Limits | None = None) -> tuple[int, tuple[str, ...]]:
     """Dimension of the geometric nonsmooth locus on one chart, read off the
     p-th root closure basis that is also its certificate: the closure lies
-    between the nonsmooth ideal and its radical, so the dimension agrees."""
-    try:
-        basis = pth_root_closure(nonsmooth_ideal(chart, include_params=False), limits)
-    except Inconclusive as exc:
-        return ChartSingularity(chart.name, chart.provenance, None, (), str(exc))
+    between the nonsmooth ideal and its radical, so the dimension agrees.
+    Returns (dimension, basis)."""
+    basis = pth_root_closure(nonsmooth_ideal(chart, include_params=False), limits)
     n = chart.ring.ngeom
-    dim = dimension_of_basis(basis, n, grevlex(n))
-    return ChartSingularity(chart.name, chart.provenance, dim, tuple(str(g) for g in basis))
+    return dimension_of_basis(basis, n, grevlex(n)), tuple(str(g) for g in basis)
 
 
 def is_geometrically_normal(model: SurfaceModel, limits: Limits | None = None):
     """Serre criterion specialised to the catalogue presentations: normal iff
-    the geometric singular locus has dimension <= 0 (S2 holds for the
-    hypersurface / complete-intersection charts in use).  Returns (verdict,
-    per-chart data); the verdict is None when some chart is inconclusive."""
-    data = [chart_singular_data(c, limits) for c in model.charts]
-    if any(d.dim is None for d in data):
-        return None, data
-    return max(d.dim for d in data) <= 0, data
+    the geometric singular locus has dimension <= 0 on every chart (S2
+    holds for the hypersurface / complete-intersection charts in use).
+    Returns (True/False/None, per-chart verdicts valued by
+    chart_singular_data)."""
+    charts = chart_by_chart(model.charts, lambda c: chart_singular_data(c, limits))
+    return every_chart(charts, lambda data: data[0] <= 0), charts
+
+
+def _smooth_point_witness(c: Chart, limits: Limits | None):
+    """The first Jacobian minor of the chart outside the radical of its
+    ideal, or False when every minor lies inside."""
+    eqs = c.full_equations()
+    for i, m in enumerate(jacobian_minors(eqs, c.ring, c.codim, include_params=False)):
+        if not radical_membership(m, eqs, limits):
+            return {"chart": c.name, "minor_index": i, "minor": str(m)}
+    return False
 
 
 def geometric_integrality(model: SurfaceModel, assumptions: tuple[str, ...] = (), limits: Limits | None = None):
     """Reducedness: some chart carries a geometric smooth point, witnessed by
-    a Jacobian minor outside the radical of the chart ideal.  Irreducibility
-    is 'implied' when regularity, properness and H0 = k are all on record."""
-    witness = None
-    for c in model.charts:
-        eqs = c.full_equations()
-        minors = jacobian_minors(eqs, c.ring, c.codim, include_params=False)
-        for i, m in enumerate(minors):
-            if not radical_membership(m, eqs, limits):
-                witness = {"chart": c.name, "minor_index": i, "minor": str(m)}
-                break
-        if witness:
-            break
-    reduced = witness is not None
+    a Jacobian minor outside the radical of the chart ideal; the charts are
+    tried in order up to the first witness, and reducedness is None when no
+    chart shows one and some chart is undecided.  Irreducibility is
+    'implied' when regularity, properness and H0 = k are all on record."""
+    charts = chart_by_chart(model.charts, lambda c: _smooth_point_witness(c, limits), until=bool)
+    no_witness = every_chart(charts, lambda witness: not witness)
+    reduced = None if no_witness is None else not no_witness
     if "proper" in assumptions and "H0=k" in assumptions:
         irreducible = "implied"
     else:
         irreducible = "unchecked"
     return {
         "reduced": reduced,
-        "witness": witness,
+        "witness": next((v.value for v in charts if v.value), None),
         "irreducible": irreducible,
         "integral": bool(reduced and irreducible == "implied"),
+        "charts": charts,
     }
 
 
@@ -652,28 +672,17 @@ def subschemes_disjoint(
     model: a unit-ideal certificate on every standard chart, then emptiness
     on the locus those charts miss.  A not-unit chart decides False and an
     inconclusive one None, with no ambient test."""
-    certs = []
-    notes: list[str] = []
-    for c in model.charts:
-        if not c.from_vars:
-            notes.append(f"chart {c.name} skipped (no ambient restriction)")
-            continue
-        gens = list(c.full_equations())
-        gens += [restrict_to_chart(f, c) for f in a_gens]
-        gens += [restrict_to_chart(f, c) for f in b_gens]
-        try:
-            unit = is_unit_ideal(gens, limits=limits)
-        except Inconclusive as exc:
-            certs.append((c.name, "inconclusive"))
-            notes.append(f"chart {c.name}: {exc}")
-            continue
-        certs.append((c.name, "unit" if unit else "not-unit"))
-    verdicts = {v for _, v in certs}
-    if "not-unit" in verdicts:
-        disjoint = False
-    elif "inconclusive" in verdicts:
-        disjoint = None
-    else:
-        gens = list(model.equations) + list(a_gens) + list(b_gens)
-        disjoint = model.ambient.uncharted_empty(gens, limits)
-    return DisjointnessReport(disjoint, tuple(certs), tuple(notes))
+    notes = [f"chart {c.name} skipped (no ambient restriction)" for c in model.charts if not c.from_vars]
+    gens = list(a_gens) + list(b_gens)
+
+    def unit_on(c: Chart) -> bool:
+        restricted = [restrict_to_chart(f, c) for f in gens]
+        return is_unit_ideal(list(c.full_equations()) + restricted, limits=limits)
+
+    charts = chart_by_chart([c for c in model.charts if c.from_vars], unit_on)
+    disjoint = every_chart(charts)
+    if disjoint:
+        disjoint = model.ambient.uncharted_empty(list(model.equations) + gens, limits)
+    certs = tuple((v.chart, {True: "unit", False: "not-unit"}.get(v.value, "inconclusive")) for v in charts)
+    notes += [f"chart {v.chart}: {v.limit}" for v in charts if v.value is None]
+    return DisjointnessReport(disjoint, certs, tuple(notes))

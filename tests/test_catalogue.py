@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from dpv import catalogue
+from dpv import catalogue, scheme
 from dpv.catalogue import (
     ALL_CHECKS,
     OUT_OF_SCOPE,
@@ -16,7 +16,7 @@ from dpv.catalogue import (
     verify_all,
     verify_example,
 )
-from dpv.groebner import Limits
+from dpv.groebner import Inconclusive, Limits
 from dpv.ring import work_done
 
 JSON_KEYS = {"schema", "id", "checks", "certificates", "expected", "computed", "notes", "timings"}
@@ -174,8 +174,33 @@ def test_regular_note_names_the_tripped_limit():
     assert check.note == "; ".join(f"{name}: pair limit 1 exceeded" for name in undecided)
 
 
+def test_geom_normal_is_decided_by_a_decided_chart_under_a_limit():
+    # D+(x1) decides a singular curve before the pair limit stops D+(x3)
+    # and D+(x4); the dimension over some of the charts is only a lower
+    # bound, so it is left out
+    check = verify_example("e1-4", ("geom_normal",), Limits(max_pairs=3)).check("geom_normal")
+    assert check.status == "pass"
+    assert check.computed == {"geom_normal": "no", "singular_dimension": None}
+    assert check.note == "D+(x3): pair limit 3 exceeded; D+(x4): pair limit 3 exceeded"
+    dims = {c["chart"]: c["dim"] for c in check.certificate}
+    assert dims["D+(x1)"] == 1 and dims["D+(x3)"] is None and dims["D+(x4)"] is None
+
+
+def test_geom_integral_note_names_every_tripped_chart(monkeypatch):
+    def always_trips(m, eqs, limits=None):
+        raise Inconclusive("pair limit 1 exceeded")
+
+    monkeypatch.setattr(scheme, "radical_membership", always_trips)
+    _, model = load_example("e2-6")
+    check = verify_example("e2-6", ("geom_integral",)).check("geom_integral")
+    assert check.status == "inconclusive"
+    assert check.computed is None and check.certificate is None
+    prefix = "; ".join(f"{c.name}: pair limit 1 exceeded" for c in model.charts)
+    assert check.note.startswith(prefix + "; ")
+
+
 def test_cross_model_check_never_passes_on_undecided_verdicts(monkeypatch):
-    monkeypatch.setattr(catalogue, "check_regular", lambda model, limits: ("inconclusive", []))
+    monkeypatch.setattr(catalogue, "check_regular", lambda model, limits: (None, []))
     extras = verify_example("e2-5-pencil").check("extras")
     assert extras.status == "inconclusive"
     assert "regular" in extras.note

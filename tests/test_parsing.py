@@ -148,6 +148,13 @@ def test_model_rejects_garbage():
     ]:
         with pytest.raises(ValueError, match="ambient"):
             parse_model(text)
+    # a double cover states its bidegree and its section in full
+    for text in [
+        "ring p=2 geom x y u v\nambient multiproj 1 1\ndoublecover bidegree 1",
+        "ring p=2 geom x y u v\nambient multiproj 1 1\ndoublecover",
+    ]:
+        with pytest.raises(ValueError, match="doublecover"):
+            parse_model(text)
     # a hypersurface must be homogeneous for its ambient, or its charts do
     # not glue
     decl = parse_model("ring p=2 geom x y z params s\nambient wproj\nhypersurface x^2+s*y+z")

@@ -1,6 +1,7 @@
 """Charts, Jacobian criteria, blow-ups, covers, and the model pipeline."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -174,6 +175,22 @@ def test_blow_up_rejects_positive_dimensional_center():
         blow_up(plane, "D+(z)", ("x", "x"), None, "bl", None)
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [("ambient wproj", "ambient multiproj 1 2"), ("ring p=2 geom x0:1 x1:1 x2:1 x3:1 x4:1 params s1 s2 s3 s4 t1 t2 t3 t4", "ring p=3 geom a:1 b:1")],
+)
+def test_blow_up_declaration_must_match_its_parent(old, new):
+    # the blow-up is built on its parent, so its own ring and ambient lines
+    # must state the parent's
+    rec = _record("e2-3")
+    ((name, parent_text),) = rec.aux_models
+    parents = {name: build(parent_text, name)}
+    assert build(rec.model_text, "e2-3", parents).ambient == parents[name].ambient
+    assert old in rec.model_text
+    with pytest.raises(ValueError, match="parent 'e1-4'"):
+        build(rec.model_text.replace(old, new), "e2-3", parents)
+
+
 def test_double_cover_charts_and_validation():
     decl = parse_model(
         """
@@ -204,8 +221,8 @@ def test_regularity_pipeline_positive_and_negative():
     # regular: the quadric
     q = build(QUADRIC, "q")
     verdict, per_chart = check_regular(q, None)
-    assert verdict == "yes"
-    assert all(r.verdict == "yes" for r in per_chart)
+    assert verdict is True
+    assert all(r.value is True for r in per_chart)
     # non-regular: a cone, singular at a rational point
     cone = build(
         """
@@ -215,9 +232,65 @@ def test_regularity_pipeline_positive_and_negative():
         """
     )
     verdict, per_chart = check_regular(cone, None)
-    assert verdict == "no"
-    bad = [r for r in per_chart if r.verdict == "no"]
-    assert bad and bad[0].name == "D+(z)"
+    assert verdict is False
+    bad = [r for r in per_chart if r.value is False]
+    assert bad and bad[0].chart == "D+(z)"
+
+
+def test_check_regular_decides_no_past_a_tripped_chart(monkeypatch):
+    # one chart says no and a limit stops another: a decided failure wins
+    cone = build(
+        """
+        ring p=5 geom x:1 y:1 z:1 w:1
+        ambient wproj
+        hypersurface x^2+y^2+w^2
+        """
+    )
+    real = scheme.is_unit_ideal
+
+    def trips_on_x_chart(gens, order=None, limits=None):
+        if "x" not in gens[0].ring.geom:
+            raise Inconclusive("pair limit 1 exceeded")
+        return real(gens, order, limits)
+
+    monkeypatch.setattr(scheme, "is_unit_ideal", trips_on_x_chart)
+    verdict, per_chart = check_regular(cone, None)
+    assert verdict is False
+    by_name = {r.chart: r for r in per_chart}
+    assert by_name["D+(x)"].value is None
+    assert by_name["D+(x)"].limit == "pair limit 1 exceeded"
+    assert by_name["D+(z)"].value is False
+    # without the failing chart the same trip leaves the check undecided
+    assert scheme.every_chart([r for r in per_chart if r.value is not False]) is None
+
+
+def test_geometric_integrality_reads_past_a_tripped_chart(monkeypatch):
+    q = build(QUADRIC, "q")
+    first, rest = q.charts[0], q.charts[1:]
+    expected = geometric_integrality(replace(q, charts=rest), ("proper", "H0=k"), None)["witness"]
+    assert expected["chart"] != first.name
+    real = scheme.radical_membership
+
+    def trips_on_first_chart(m, eqs, limits=None):
+        if m.ring == first.ring:
+            raise Inconclusive("pair limit 1 exceeded")
+        return real(m, eqs, limits)
+
+    monkeypatch.setattr(scheme, "radical_membership", trips_on_first_chart)
+    res = geometric_integrality(q, ("proper", "H0=k"), None)
+    assert res["reduced"] is True and res["integral"] is True
+    assert res["witness"] == expected
+    assert [(v.chart, v.limit) for v in res["charts"]][0] == (first.name, "pair limit 1 exceeded")
+    # the charts are tried only up to the first witness
+    assert res["charts"][-1].chart == expected["chart"]
+
+    def always_trips(m, eqs, limits=None):
+        raise Inconclusive("pair limit 1 exceeded")
+
+    monkeypatch.setattr(scheme, "radical_membership", always_trips)
+    res = geometric_integrality(q, ("proper", "H0=k"), None)
+    assert res["reduced"] is None and res["witness"] is None and res["integral"] is False
+    assert [v.chart for v in res["charts"]] == [c.name for c in q.charts]
 
 
 def test_geometric_singularity_vs_regularity():
@@ -225,11 +298,11 @@ def test_geometric_singularity_vs_regularity():
     q = build(QUADRIC, "q")
     normal, data = is_geometrically_normal(q, None)
     assert normal is True
-    assert max(d.dim for d in data) == 0
-    by_name = {d.name: d for d in data}
-    assert by_name["D+(y)"].dim == 0
-    assert sorted(by_name["D+(y)"].certificate) == ["w", "x^2 + s", "z"]
-    assert by_name["D+(z)"].dim == -1
+    assert max(d.value[0] for d in data) == 0
+    by_name = {d.chart: d.value for d in data}
+    assert by_name["D+(y)"][0] == 0
+    assert sorted(by_name["D+(y)"][1]) == ["w", "x^2 + s", "z"]
+    assert by_name["D+(z)"][0] == -1
 
 
 def test_geometric_integrality_needs_assumptions():
@@ -410,10 +483,10 @@ def test_extra_chart_inverts_non_identifier_texts():
 
 def test_chart_singular_data_certificate_reduces():
     q = build(QUADRIC, "q")
-    data = chart_singular_data(q.chart("D+(y)"), None)
-    assert data.dim == 0
+    dim, basis = chart_singular_data(q.chart("D+(y)"), None)
+    assert dim == 0
     # the certificate basis cuts exactly the inseparable point
-    assert "x^2 + s" in data.certificate
+    assert "x^2 + s" in basis
 
 
 def _uncleared_nonsmooth_ideal(chart, include_params):
@@ -533,7 +606,7 @@ def test_check_regular_work_on_e2_3_stays_fraction_free():
     before = work_done()
     verdict, _ = check_regular(model, None)
     spent = work_done() - before
-    assert verdict == "yes"
+    assert verdict is True
     assert spent < 100_000
 
 
@@ -544,4 +617,4 @@ def test_singular_dimension_read_off_closure_basis_is_exact():
         _, model = load_example(record_id)
         for c in model.charts:
             expected = dimension(nonsmooth_ideal(c, include_params=False), c.ring)
-            assert chart_singular_data(c).dim == expected, (record_id, c.name)
+            assert chart_singular_data(c)[0] == expected, (record_id, c.name)
