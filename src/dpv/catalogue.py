@@ -60,7 +60,6 @@ class ExampleRecord:
     expected: ExpectedRow
     model_text: str
     assumptions: tuple[str, ...] = ("proper", "H0=k", "Cohen-Macaulay")
-    aux_models: tuple[tuple[str, str], ...] = ()  # (name, model text), in build order
     extras: str | None = None
     extra_data: tuple = ()
     notes: tuple[str, ...] = ()
@@ -114,10 +113,8 @@ hypersurface y^2+(s0*x0^2+s1*x1^2+s2*x2^2)*y+(t0*x0^2+t1*x1^2+t2*x2^2)*(u0*x0^2+
 # D+(x0) the coordinates x3, x4 generate the maximal ideal of the center
 # locally but cut three extra closed points globally; inverting h removes
 # them (h is nonzero at the center and vanishes on all three).
-_E2_3 = """
-ring p=2 geom x0:1 x1:1 x2:1 x3:1 x4:1 params s1 s2 s3 s4 t1 t2 t3 t4
-ambient wproj
-blowup parent=e1-4 chart=D+(x0) center x3 ; x4
+_E2_3 = _E1_4 + """
+blowup chart=D+(x0) center x3 ; x4
 localize (s2*t1+s1*t2)^2*x1^3+(t2^2+s1*s2)*x1+s2
 """
 
@@ -138,10 +135,8 @@ ring p=2 geom x:1 y:1 z:1 params s t
 ambient wproj
 """
 
-_E2_5_BLOWUP = """
-ring p=2 geom x:1 y:1 z:1 params s t
-ambient wproj
-blowup parent=plane chart=D+(z) center x^2+s ; y^2+t
+_E2_5_BLOWUP = _PLANE + """
+blowup chart=D+(z) center x^2+s ; y^2+t
 """
 
 _QUADRIC = """
@@ -150,10 +145,8 @@ ambient wproj
 hypersurface x^2+s*y^2+z*w
 """
 
-_E2_6 = """
-ring p=2 geom x:1 y:1 z:1 w:1 params s
-ambient wproj
-blowup parent=quadric chart=D+(y) center z ; w
+_E2_6 = _QUADRIC + """
+blowup chart=D+(y) center z ; w
 """
 
 
@@ -235,7 +228,6 @@ _add(
         "e2-3",
         _row(2, "2-3", 2, 2, 3, 0, "P_{P^1}(O + O(1))", "B+C"),
         _E2_3,
-        aux_models=(("e1-4", _E1_4),),
         notes=(
             "verified through the blow-up presentation; the cubic-hypersurface "
             "description of this row is expected data only",
@@ -263,7 +255,6 @@ _add(
         "e2-5-blowup",
         _row(2, "2-5", 2, 2, 5, 0, "P_{P^1}(O + O(1))", "B+C"),
         _E2_5_BLOWUP,
-        aux_models=(("plane", _PLANE),),
         extras="cross_model",
         extra_data=("e2-5-pencil",),
     )
@@ -273,7 +264,6 @@ _add(
         "e2-6",
         _row(2, "2-6", 2, 2, 6, 0, "P_{P^1}(O + O(2))", "B+C"),
         _E2_6,
-        aux_models=(("quadric", _QUADRIC),),
     )
 )
 
@@ -346,13 +336,9 @@ def _record(record_id: str) -> ExampleRecord:
 
 
 def load_example(record_id: str, limits: Limits | None = None) -> tuple[ExampleRecord, SurfaceModel]:
-    """Parse and build the model for a record (with its parents)."""
+    """Parse and build the model for a record."""
     rec = _record(record_id)
-    parents: dict[str, SurfaceModel] = {}
-    for name, text in rec.aux_models:
-        parents[name] = build_model(parse_model(text), name, parents, limits)
-    model = build_model(parse_model(rec.model_text), record_id, parents, limits)
-    return rec, model
+    return rec, build_model(parse_model(rec.model_text), record_id, limits)
 
 
 # ---------------------------------------------------------------------------

@@ -117,28 +117,34 @@ def _ints(raw: str) -> list[int]:
 
 def _cmd_lattice(args) -> int:
     sub = args.subcommand
-    if sub == "k2-wci":
-        print(lattice.k2_weighted_ci(_ints(args.weights), _ints(args.degrees)))
-    elif sub == "rr-chi":
-        print(lattice.rr_chi(Fraction(args.chi0), args.l2, args.lk))
-    elif sub == "index-two":
-        verdict, value = lattice.index_two_check(args.r, args.h2)
-        print(f"{verdict} {value}")
-    elif sub == "negcurve":
-        print(lattice.negcurve_divisibility(args.dy))
-    elif sub == "conic-fibration":
-        res = lattice.conic_fibration(args.a)
-        print(res if isinstance(res, str) else json.dumps(res, sort_keys=True))
-    elif sub == "conic-bound":
-        print(",".join(str(a) for a in lattice.conic_bundle_bound(args.k2, args.amax)) or "none")
-    elif sub == "secant":
-        print(lattice.secant_selfint(args.m, args.degc, args.genus, args.n))
-    elif sub == "blowup-k2":
-        print(lattice.blowup_k2(args.k2, args.degree))
-    elif sub == "ruled-k2":
-        print(lattice.ruled_k2(args.h1))
-    else:  # pragma: no cover - argparse enforces choices
-        raise SystemExit(f"unknown lattice subcommand {sub!r}")
+    # a value outside a formula's domain or a non-integer list item
+    # (ValueError) is rejected input
+    try:
+        if sub == "k2-wci":
+            print(lattice.k2_weighted_ci(_ints(args.weights), _ints(args.degrees)))
+        elif sub == "rr-chi":
+            print(lattice.rr_chi(Fraction(args.chi0), args.l2, args.lk))
+        elif sub == "index-two":
+            verdict, value = lattice.index_two_check(args.r, args.h2)
+            print(f"{verdict} {value}")
+        elif sub == "negcurve":
+            print(lattice.negcurve_divisibility(args.dy))
+        elif sub == "conic-fibration":
+            res = lattice.conic_fibration(args.a)
+            print(res if isinstance(res, str) else json.dumps(res, sort_keys=True))
+        elif sub == "conic-bound":
+            print(",".join(str(a) for a in lattice.conic_bundle_bound(args.k2, args.amax)) or "none")
+        elif sub == "secant":
+            print(lattice.secant_selfint(args.m, args.degc, args.genus, args.n))
+        elif sub == "blowup-k2":
+            print(lattice.blowup_k2(args.k2, args.degree))
+        elif sub == "ruled-k2":
+            print(lattice.ruled_k2(args.h1))
+        else:  # pragma: no cover - argparse enforces choices
+            raise SystemExit(f"unknown lattice subcommand {sub!r}")
+    except ValueError as exc:
+        print(f"lattice {sub}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -5,17 +5,23 @@ Ring declaration:
     ring p=3 geom x0:1 x1:1 y:2 z:3 params s0 s1 s2 s3
 
 Polynomial expressions are whitespace-insensitive, use ^ for powers and
-require explicit *; identifiers may contain apostrophes (x').  Model texts
-stack further declarations on top of a ring line, and every model declares
-its ambient:
+require explicit *; identifiers may contain apostrophes (x').  A model text
+is a ring line, one ambient line and one base presentation, optionally
+followed by one blow-up of that base:
 
     ambient wproj                      # weights taken from the ring
     ambient multiproj 2 1              # factor dimensions, all weights 1
-    hypersurface EXPR
+    hypersurface EXPR                  # any number, none for the whole ambient
     extrachart name=U coords x0 x1 u invert u eq EXPR
-    blowup parent=ID chart=NAME center EXPR ; EXPR
-    localize EXPR
-    doublecover bidegree 1 1 section EXPR
+    doublecover bidegree 1 1 section EXPR   # or one double cover instead
+    blowup chart=NAME center EXPR ; EXPR    # blows up the model above
+    localize EXPR                      # inverted on the blow-up's center chart
+
+So a blow-up is declared as its parent's own text followed by a blowup line.
+Every other shape is rejected with ValueError: a second ambient, doublecover,
+blowup or localize line, a doublecover beside hypersurface or extrachart
+lines, a localize without a blowup, and any line after the blowup other than
+its localize.
 """
 
 from __future__ import annotations
@@ -193,13 +199,15 @@ class ModelDecl:
     ambient: str | None = None  # "wproj" | "multiproj"
     factors: tuple[int, ...] = ()
     hypersurfaces: tuple[Polynomial, ...] = ()
-    blowup_parent: str | None = None
     blowup_chart: str | None = None
     blowup_center: tuple[str, str] | None = None  # raw texts, parsed in the chart ring
     localize: str | None = None
     cover_bidegree: tuple[int, int] | None = None
     cover_section: Polynomial | None = None
     extra_chart_decls: tuple[ExtraChartDecl, ...] = field(default=())
+
+
+_ONCE = {"ambient", "doublecover", "blowup", "localize"}
 
 
 def parse_model(text: str) -> ModelDecl:
@@ -211,9 +219,15 @@ def parse_model(text: str) -> ModelDecl:
     decl = ModelDecl(ring=ring)
     hyps: list[Polynomial] = []
     charts: list[ExtraChartDecl] = []
+    seen: set[str] = set()
     for line in lines[1:]:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        if head in seen and head in _ONCE:
+            raise ValueError(f"a model text takes one {head!r} line")
+        if "blowup" in seen and head != "localize":
+            raise ValueError(f"{head!r} after blowup: a blow-up follows the whole text of the model it blows up")
+        seen.add(head)
         if head == "ambient":
             kind, *dims = rest.split() or [None]
             decl.ambient = kind
@@ -232,11 +246,15 @@ def parse_model(text: str) -> ModelDecl:
         elif head == "blowup":
             _parse_blowup(decl, rest)
         elif head == "localize":
+            if "blowup" not in seen:
+                raise ValueError("localize needs a blowup line before it")
             decl.localize = rest
         elif head == "doublecover":
             _parse_doublecover(decl, ring, rest)
         else:
             raise ValueError(f"unknown model declaration {head!r}")
+    if "doublecover" in seen and seen & {"hypersurface", "extrachart"}:
+        raise ValueError("a doublecover takes no hypersurface or extrachart lines")
     if decl.ambient is None:
         raise ValueError("model text needs an ambient line")
     decl.hypersurfaces = tuple(hyps)
@@ -275,24 +293,11 @@ def _parse_extrachart(rest: str) -> ExtraChartDecl:
 
 
 def _parse_blowup(decl: ModelDecl, rest: str) -> None:
-    words = rest.split()
-    center_idx = None
-    for i, w in enumerate(words):
-        if w.startswith("parent="):
-            decl.blowup_parent = w[7:]
-        elif w.startswith("chart="):
-            decl.blowup_chart = w[6:]
-        elif w == "center":
-            center_idx = i
-            break
-        else:
-            raise ValueError(f"unexpected token {w!r} in blowup")
-    if center_idx is None:
-        raise ValueError("blowup needs a center")
-    center_text = rest.split("center", 1)[1]
-    parts = [s.strip() for s in center_text.split(";")]
-    if len(parts) != 2:
-        raise ValueError("blowup center takes exactly two generators")
+    m = re.fullmatch(r"chart=(\S+)\s+center\s(.*)", rest)
+    parts = [s.strip() for s in m.group(2).split(";")] if m else []
+    if len(parts) != 2 or not all(parts):
+        raise ValueError("blowup takes 'chart=NAME center EXPR ; EXPR'")
+    decl.blowup_chart = m.group(1)
     # store the raw texts; the builder parses them in the chart ring
     decl.blowup_center = tuple(parts)  # type: ignore[assignment]
 

@@ -212,39 +212,30 @@ def _build_extra_chart(ring: RingContext, decl: ExtraChartDecl) -> Chart:
     return chart
 
 
-def build_model(decl: ModelDecl, model_id: str, parents: dict | None = None, limits: Limits | None = None) -> SurfaceModel:
-    """Assemble a SurfaceModel from a parsed declaration.  A hypersurface
-    that is not homogeneous in the ambient, or a blow-up whose declared ring
-    or ambient differs from its parent's, is rejected with ValueError."""
+def build_model(decl: ModelDecl, model_id: str, limits: Limits | None = None) -> SurfaceModel:
+    """Assemble a SurfaceModel from a parsed declaration: its base
+    presentation, blown up when the declaration ends in a blow-up.  A
+    hypersurface that is not homogeneous in the ambient is rejected with
+    ValueError."""
     kind = "weighted_projective" if decl.ambient == "wproj" else "multiprojective"
     ambient = AmbientSpace(kind, decl.ring, decl.factors)
-    if decl.blowup_parent is not None:
-        if not parents or decl.blowup_parent not in parents:
-            raise KeyError(f"unknown blow-up parent {decl.blowup_parent!r}")
-        parent = parents[decl.blowup_parent]
-        if ambient != parent.ambient:
-            raise ValueError(f"blow-up declares a ring or ambient other than its parent {decl.blowup_parent!r}'s")
-        return blow_up(
-            parent,
-            decl.blowup_chart,
-            decl.blowup_center,
-            localize=decl.localize,
-            model_id=model_id,
-            limits=limits,
-        )
     if decl.cover_section is not None:
-        return double_cover(ambient, decl.cover_section, decl.cover_bidegree, model_id)
-    for f in decl.hypersurfaces:
-        if ambient.degree(f) == INHOMOGENEOUS:
-            raise ValueError(f"hypersurface {f} is not homogeneous in the ambient")
-    extra = tuple(_build_extra_chart(decl.ring, d) for d in decl.extra_chart_decls)
-    return SurfaceModel(
-        model_id=model_id,
-        ambient=ambient,
-        presentation="hypersurfaces",
-        equations=decl.hypersurfaces,
-        charts=_standard_charts(ambient, decl.hypersurfaces) + extra,
-    )
+        model = double_cover(ambient, decl.cover_section, decl.cover_bidegree, model_id)
+    else:
+        for f in decl.hypersurfaces:
+            if ambient.degree(f) == INHOMOGENEOUS:
+                raise ValueError(f"hypersurface {f} is not homogeneous in the ambient")
+        extra = tuple(_build_extra_chart(decl.ring, d) for d in decl.extra_chart_decls)
+        model = SurfaceModel(
+            model_id=model_id,
+            ambient=ambient,
+            presentation="hypersurfaces",
+            equations=decl.hypersurfaces,
+            charts=_standard_charts(ambient, decl.hypersurfaces) + extra,
+        )
+    if decl.blowup_chart is None:
+        return model
+    return blow_up(model, decl.blowup_chart, decl.blowup_center, decl.localize, model_id, limits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, report text, JSON artifacts."""
 
+import ast
 import json
 import shlex
 from pathlib import Path
@@ -96,6 +97,21 @@ def test_verify_all_json_directory(tmp_path, capsys):
 def test_lattice_subcommands(capsys, argv, want):
     assert main(argv) == 0
     assert capsys.readouterr().out.strip() == want
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["negcurve", "0"], "dY must be positive"),
+        (["k2-wci", "--weights", "1,1,2", "--degrees", "6"], "surface needs exactly three more weights than degrees"),
+        (["k2-wci", "--weights", "1,x", "--degrees", "6"], "invalid literal for int() with base 10: 'x'"),
+    ],
+)
+def test_lattice_rejects_bad_input_in_one_line(capsys, argv, reason):
+    assert main(["lattice", *argv]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"lattice {argv[0]}: {reason}\n"
 
 
 def _write_ideal(tmp_path, ring_line, polys):
@@ -240,3 +256,15 @@ def test_readme_command_lines_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_library_block_prints_its_comments(capsys):
+    # each '# value' comment in the README's Library block is the literal
+    # that the print beside or above it shows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    comments = [ln.split("#", 1)[1] for ln in block.splitlines() if "#" in ln]
+    want = [str(ast.literal_eval(c.strip())) for c in comments]
+    assert len(want) == 3
+    exec(block, {})
+    assert capsys.readouterr().out.splitlines() == want

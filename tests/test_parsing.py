@@ -2,6 +2,7 @@
 
 import pytest
 
+from dpv.catalogue import _record
 from dpv.parsing import parse_ideal_lines, parse_model, parse_poly, parse_ring
 from dpv.poly import Polynomial
 from dpv.scheme import build_model
@@ -94,10 +95,10 @@ def test_model_declaration_blowup():
         """
         ring p=2 geom x:1 y:1 z:1 params s t
         ambient wproj
-        blowup parent=plane chart=D+(z) center x^2+s ; y^2+t
+        blowup chart=D+(z) center x^2+s ; y^2+t
         """
     )
-    assert decl.blowup_parent == "plane"
+    assert decl.hypersurfaces == ()
     assert decl.blowup_chart == "D+(z)"
     assert decl.blowup_center == ("x^2+s", "y^2+t")
     assert decl.localize is None
@@ -123,12 +124,15 @@ def test_model_declaration_localize():
         """
         ring p=2 geom x0 x1 x2 x3 x4 params s1 s2 s3 s4 t1 t2 t3 t4
         ambient wproj
-        blowup parent=e1-4 chart=D+(x0) center x3 ; x4
+        hypersurface x0*x1+s1*x1^2+s2*x2^2+s3*x3^2+s4*x4^2
+        hypersurface x0*x2+t1*x1^2+t2*x2^2+t3*x3^2+t4*x4^2
+        blowup chart=D+(x0) center x3 ; x4
         localize (s2*t1+s1*t2)^2*x1^3+(t2^2+s1*s2)*x1+s2
         """
     )
     assert decl.localize is not None
     assert decl.blowup_center == ("x3", "x4")
+    assert len(decl.hypersurfaces) == 2
 
 
 def test_model_rejects_garbage():
@@ -154,6 +158,29 @@ def test_model_rejects_garbage():
         "ring p=2 geom x y u v\nambient multiproj 1 1\ndoublecover",
     ]:
         with pytest.raises(ValueError, match="doublecover"):
+            parse_model(text)
+    # every declaration line is used or rejected: one presentation, at most
+    # one blow-up of it, and nothing after the blow-up but its localize
+    e2_3 = _record("e2-3").model_text
+    quadric = "ring p=2 geom x y z w params s\nambient wproj\nhypersurface x^2+s*y^2+z*w\n"
+    cover = "ring p=2 geom x y u v\nambient multiproj 1 1\ndoublecover bidegree 1 1 section x^2*u^2\n"
+    for text, reason in [
+        (e2_3 + "hypersurface x0*x1", "after blowup"),
+        (e2_3 + "extrachart name=U coords a b eq a^2+b", "after blowup"),
+        (e2_3 + "ambient multiproj 1 2", "one 'ambient'"),
+        (e2_3.replace("ambient wproj", "ambient wproj\nambient multiproj 1 2"), "one 'ambient'"),
+        (e2_3.replace("ambient wproj", "ring p=3 geom a:1 b:1\nambient wproj"), "unknown model declaration 'ring'"),
+        (e2_3 + "blowup chart=D+(x1) center x3 ; x4", "one 'blowup'"),
+        (e2_3 + "localize x1", "one 'localize'"),
+        (quadric + "localize x+1", "localize needs a blowup"),
+        (quadric + "blowup center z ; w", "chart=NAME"),
+        (quadric + "blowup parent=quadric chart=D+(y) center z ; w", "chart=NAME"),
+        (quadric + "blowup chart=D+(y) center z", "chart=NAME"),
+        (cover + "hypersurface x*u", "doublecover takes no"),
+        (cover + "extrachart name=U coords a b eq a^2+b", "doublecover takes no"),
+        (cover + "doublecover bidegree 1 1 section y^2*v^2", "one 'doublecover'"),
+    ]:
+        with pytest.raises(ValueError, match=reason):
             parse_model(text)
     # a hypersurface must be homogeneous for its ambient, or its charts do
     # not glue

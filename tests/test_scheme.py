@@ -41,8 +41,8 @@ hypersurface x^2+s*y^2+z*w
 """
 
 
-def build(text, model_id="m", parents=None):
-    return build_model(parse_model(text), model_id, parents or {}, None)
+def build(text, model_id="m"):
+    return build_model(parse_model(text), model_id)
 
 
 def test_standard_charts_weighted():
@@ -175,20 +175,14 @@ def test_blow_up_rejects_positive_dimensional_center():
         blow_up(plane, "D+(z)", ("x", "x"), None, "bl", None)
 
 
-@pytest.mark.parametrize(
-    "old, new",
-    [("ambient wproj", "ambient multiproj 1 2"), ("ring p=2 geom x0:1 x1:1 x2:1 x3:1 x4:1 params s1 s2 s3 s4 t1 t2 t3 t4", "ring p=3 geom a:1 b:1")],
-)
-def test_blow_up_declaration_must_match_its_parent(old, new):
-    # the blow-up is built on its parent, so its own ring and ambient lines
-    # must state the parent's
-    rec = _record("e2-3")
-    ((name, parent_text),) = rec.aux_models
-    parents = {name: build(parent_text, name)}
-    assert build(rec.model_text, "e2-3", parents).ambient == parents[name].ambient
-    assert old in rec.model_text
-    with pytest.raises(ValueError, match="parent 'e1-4'"):
-        build(rec.model_text.replace(old, new), "e2-3", parents)
+def test_blow_up_is_built_on_its_parents_text():
+    # a blow-up text is its parent's text followed by a blowup line, so the
+    # blow-up's parent is the parent record's model
+    blown = load_example("e2-3")[1]
+    parent = load_example("e1-4")[1]
+    assert blown.parent.ambient == parent.ambient
+    assert blown.parent.equations == parent.equations
+    assert blown.parent.charts == parent.charts
 
 
 def test_double_cover_charts_and_validation():
@@ -199,7 +193,7 @@ def test_double_cover_charts_and_validation():
         doublecover bidegree 1 1 section x*y*x'^2+t1*x^2*x'^2+t2*y^2*x'^2+t3*x^2*y'^2+t4*y^2*y'^2
         """
     )
-    m = build_model(decl, "dc", {}, None)
+    m = build_model(decl, "dc")
     assert len(m.charts) == 4
     c = m.chart("D+(y)&D+(y')")
     assert "w" in c.ring.geom
@@ -214,7 +208,7 @@ def test_double_cover_charts_and_validation():
             doublecover bidegree 1 1 section t1*x^2*x'^2*y^2
             """
         )
-        build_model(bad, "dc2", {}, None)
+        build_model(bad, "dc2")
 
 
 def test_regularity_pipeline_positive_and_negative():
