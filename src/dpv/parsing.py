@@ -20,8 +20,9 @@ followed by one blow-up of that base:
 So a blow-up is declared as its parent's own text followed by a blowup line.
 Every other shape is rejected with ValueError: a second ambient, doublecover,
 blowup or localize line, a doublecover beside hypersurface or extrachart
-lines, a localize without a blowup, and any line after the blowup other than
-its localize.
+lines, a localize without a blowup, any line after the blowup other than
+its localize, and an extrachart with more than one name=.  A blowup chart
+that the base model does not have is rejected when the model is built.
 """
 
 from __future__ import annotations
@@ -273,6 +274,8 @@ def _parse_extrachart(rest: str) -> ExtraChartDecl:
     section = None
     for w in words:
         if w.startswith("name="):
+            if name is not None:
+                raise ValueError("extrachart takes one name=")
             name = w[5:]
         elif w == "coords":
             section = "coords"

@@ -25,6 +25,16 @@ derivations taken in both variable sorts: geometric columns detect smoothness
 over the algebraic closure, parameter columns supply the extra derivations
 that distinguish regular-but-not-smooth points.
 
+Reducedness is witnessed by a Jacobian minor m outside the radical of a
+chart ideal I.  Before the Rabinowitsch basis of (I, 1 - T*m), each minor
+that uses one or two geometric variables S is tried on the fibres of X over
+the points a of F_p^S: when m(a) != 0 and I(a) is not the unit ideal in the
+ring without S, the fibre has a point over the algebraic closure of
+F_p(params) by the weak Nullstellensatz (Cox, Little & O'Shea, Ideals,
+Varieties, and Algorithms, 4.1), m(a) != 0 there, and so m is not in the
+radical.  A minor inside the radical vanishes on all of X, so no fibre can
+show it; the first witness is the one the Rabinowitsch basis alone finds.
+
 Every check is decided chart by chart, and by any chart that decides it,
 even when a resource limit stopped another chart (chart_by_chart,
 every_chart).  A check that must hold on every chart (regular, geom_normal,
@@ -301,6 +311,8 @@ def blow_up(
     """Blow up a parent model at a closed point given by two center
     generators on one chart.  The center chart is replaced by the two
     standard blow-up charts; the other parent charts are retained."""
+    if chart_name not in {c.name for c in parent.charts}:
+        raise ValueError(f"blowup chart {chart_name!r} is not a chart of the model")
     c0 = parent.chart(chart_name)
     notes: list[str] = []
     if localize:
@@ -604,12 +616,49 @@ def is_geometrically_normal(model: SurfaceModel, limits: Limits | None = None):
     return every_chart(charts, lambda data: data[0] <= 0), charts
 
 
+def _nonzero_on_a_fibre(m: Polynomial, eqs, limits: Limits | None) -> bool:
+    """True when m is a nonzero constant on a nonempty fibre: some point a
+    of F_p^S, S the one or two geometric variables m uses, has m(a) != 0
+    and a fibre eqs(a) that is not the unit ideal in the ring without S.
+    That fibre has a point over the algebraic closure of F_p(params)
+    (Nullstellensatz), m is nonzero there, so m lies outside the radical of
+    (eqs).  False decides nothing."""
+    ring = m.ring
+    used = [v for i, v in enumerate(ring.geom) if any(e[i] for e in m.terms)]
+    if not 1 <= len(used) <= 2:
+        return False
+    fibre_ring = ring
+    for v in used:
+        fibre_ring = fibre_ring.without_geom_var(v)
+    for a in itertools.product(range(ring.p), repeat=len(used)):
+        point = dict(zip(used, a))
+        if m.substitute(point, fibre_ring).is_zero():
+            continue
+        if not is_unit_ideal([f.substitute(point, fibre_ring) for f in eqs], limits=limits):
+            return True
+    return False
+
+
+def _outside_radical(m: Polynomial, eqs, limits: Limits | None) -> bool:
+    """Whether m lies outside the radical of (eqs): a nonempty fibre where m
+    does not vanish, else the Rabinowitsch basis of radical_membership."""
+    return _nonzero_on_a_fibre(m, eqs, limits) or not radical_membership(m, eqs, limits)
+
+
 def _smooth_point_witness(c: Chart, limits: Limits | None):
     """The first Jacobian minor of the chart outside the radical of its
-    ideal, or False when every minor lies inside."""
+    ideal, or False when every minor lies inside.
+
+    Each minor is first tried on the fibres over the F_p-points of the one
+    or two geometric variables it uses (_nonzero_on_a_fibre), and only
+    then by a Rabinowitsch basis.  Both answers are exact, and the fibre
+    test can never fire for a minor inside the radical: such a minor
+    vanishes on all of X, so every fibre on which it is a nonzero constant
+    is empty.  The first witness and its index are therefore the ones the
+    Rabinowitsch basis alone would give."""
     eqs = c.full_equations()
     for i, m in enumerate(jacobian_minors(eqs, c.ring, c.codim, include_params=False)):
-        if not radical_membership(m, eqs, limits):
+        if _outside_radical(m, eqs, limits):
             return {"chart": c.name, "minor_index": i, "minor": str(m)}
     return False
 

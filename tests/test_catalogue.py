@@ -160,9 +160,11 @@ def test_limit_trip_during_model_build_marks_every_selected_check():
 
 
 def test_limit_trip_inside_one_check_marks_only_that_check():
-    report = verify_example("e2-2", ("geom_integral", "k2"), Limits(max_pairs=2))
+    # a one-unit work budget stops every geom_integral basis of e1-4, but
+    # neither its model build nor k2
+    report = verify_example("e1-4", ("geom_integral", "k2"), Limits(max_steps=1))
     assert report.check("geom_integral").status == "inconclusive"
-    assert "pair limit" in report.check("geom_integral").note
+    assert "work budget exceeded" in report.check("geom_integral").note
     assert report.check("k2").status == "pass"
 
 
@@ -187,10 +189,10 @@ def test_geom_normal_is_decided_by_a_decided_chart_under_a_limit():
 
 
 def test_geom_integral_note_names_every_tripped_chart(monkeypatch):
-    def always_trips(m, eqs, limits=None):
+    def always_trips(m, eqs, limits):
         raise Inconclusive("pair limit 1 exceeded")
 
-    monkeypatch.setattr(scheme, "radical_membership", always_trips)
+    monkeypatch.setattr(scheme, "_outside_radical", always_trips)
     _, model = load_example("e2-6")
     check = verify_example("e2-6", ("geom_integral",)).check("geom_integral")
     assert check.status == "inconclusive"
@@ -213,11 +215,12 @@ def test_verify_all_work_stays_below_bound():
     # re-index exponents instead of re-evaluating coefficients to 87,183,
     # computing each Jacobian sub-minor once to 82,615, and testing
     # disjointness in the ambient only where the standard charts miss to
-    # 80,800
+    # 80,800, and deciding a geom_integral witness on a nonempty fibre
+    # before any Rabinowitsch basis to 33,157
     before = work_done()
     summary = verify_all()
     assert summary.exit_code == 0
-    assert work_done() - before < 81_000
+    assert work_done() - before < 33_200
 
 
 @pytest.mark.parametrize("var, value", [("DPV_STEP_LIMIT", "abc"), ("DPV_PAIR_LIMIT", "1")])

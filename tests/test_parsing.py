@@ -179,6 +179,7 @@ def test_model_rejects_garbage():
         (cover + "hypersurface x*u", "doublecover takes no"),
         (cover + "extrachart name=U coords a b eq a^2+b", "doublecover takes no"),
         (cover + "doublecover bidegree 1 1 section y^2*v^2", "one 'doublecover'"),
+        (quadric + "extrachart name=A name=B coords a b eq a^2+b", "one name="),
     ]:
         with pytest.raises(ValueError, match=reason):
             parse_model(text)
@@ -186,4 +187,8 @@ def test_model_rejects_garbage():
     # not glue
     decl = parse_model("ring p=2 geom x y z params s\nambient wproj\nhypersurface x^2+s*y+z")
     with pytest.raises(ValueError, match="homogeneous"):
+        build_model(decl, "m")
+    # a blow-up names a chart of its base model
+    decl = parse_model(quadric + "blowup chart=D+(q) center z ; w")
+    with pytest.raises(ValueError, match=r"blowup chart 'D\+\(q\)' is not a chart of the model"):
         build_model(decl, "m")

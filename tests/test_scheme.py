@@ -8,6 +8,7 @@ import pytest
 from dpv import groebner, scheme
 from dpv.catalogue import RECORD_ORDER, _record, load_example
 from dpv.groebner import Inconclusive, buchberger, dimension, is_unit_ideal
+from dpv.orders import grevlex
 from dpv.parsing import parse_model, parse_poly, parse_ring
 from dpv.poly import Polynomial
 from dpv.ring import work_done
@@ -258,19 +259,57 @@ def test_check_regular_decides_no_past_a_tripped_chart(monkeypatch):
     assert scheme.every_chart([r for r in per_chart if r.value is not False]) is None
 
 
+def test_fibre_test_fires_only_outside_the_radical():
+    # on every catalogue chart and every geometric minor, a nonempty fibre
+    # where the minor does not vanish is found only for a minor that the
+    # Rabinowitsch basis also puts outside the radical
+    fired = 0
+    for record_id in RECORD_ORDER:
+        _, model = load_example(record_id)
+        for c in model.charts:
+            eqs = c.full_equations()
+            for m in jacobian_minors(eqs, c.ring, c.codim, include_params=False):
+                if scheme._nonzero_on_a_fibre(m, eqs, None):
+                    fired += 1
+                    assert not groebner.radical_membership(m, eqs), (record_id, c.name, str(m))
+    assert fired > 0
+
+
+def test_fibre_test_never_fires_inside_the_radical():
+    # (x + s*y)^2 = 0 is a double plane: both nonzero minors lie in the
+    # radical but not in the ideal, and every fibre on which one of them
+    # is a nonzero constant is empty
+    ring = parse_ring("ring p=3 geom x y z params s")
+    f = parse_poly(ring, "(x+s*y)^2")
+    chart = Chart(name="U", ring=ring, equations=(f,))
+    eqs = chart.full_equations()
+    minors = jacobian_minors(eqs, ring, chart.codim, include_params=False)
+    assert len(minors) == 2
+    order = grevlex(ring.ngeom)
+    for m in minors:
+        assert {ring.geom[i] for e in m.terms for i, x in enumerate(e) if x} == {"x", "y"}
+        assert not groebner.reduce(m, [f], order).is_zero()
+        assert groebner.reduce(m * m, [f], order).is_zero()
+        assert not scheme._nonzero_on_a_fibre(m, eqs, None)
+        assert groebner.radical_membership(m, eqs)
+    assert scheme._smooth_point_witness(chart, None) is False
+
+
 def test_geometric_integrality_reads_past_a_tripped_chart(monkeypatch):
     q = build(QUADRIC, "q")
     first, rest = q.charts[0], q.charts[1:]
     expected = geometric_integrality(replace(q, charts=rest), ("proper", "H0=k"), None)["witness"]
     assert expected["chart"] != first.name
-    real = scheme.radical_membership
+    # the trip is injected at the one per-minor decision, which holds both
+    # the fibre test and the Rabinowitsch fallback
+    real = scheme._outside_radical
 
-    def trips_on_first_chart(m, eqs, limits=None):
+    def trips_on_first_chart(m, eqs, limits):
         if m.ring == first.ring:
             raise Inconclusive("pair limit 1 exceeded")
         return real(m, eqs, limits)
 
-    monkeypatch.setattr(scheme, "radical_membership", trips_on_first_chart)
+    monkeypatch.setattr(scheme, "_outside_radical", trips_on_first_chart)
     res = geometric_integrality(q, ("proper", "H0=k"), None)
     assert res["reduced"] is True and res["integral"] is True
     assert res["witness"] == expected
@@ -278,10 +317,10 @@ def test_geometric_integrality_reads_past_a_tripped_chart(monkeypatch):
     # the charts are tried only up to the first witness
     assert res["charts"][-1].chart == expected["chart"]
 
-    def always_trips(m, eqs, limits=None):
+    def always_trips(m, eqs, limits):
         raise Inconclusive("pair limit 1 exceeded")
 
-    monkeypatch.setattr(scheme, "radical_membership", always_trips)
+    monkeypatch.setattr(scheme, "_outside_radical", always_trips)
     res = geometric_integrality(q, ("proper", "H0=k"), None)
     assert res["reduced"] is None and res["witness"] is None and res["integral"] is False
     assert [v.chart for v in res["charts"]] == [c.name for c in q.charts]
