@@ -1,16 +1,18 @@
 """Example records, expected classification rows, and the verification runner.
 
-Each record carries a model declaration in the small text grammar, the
+Each record carries a model declaration in the small text grammar and the
 expected row data (Picard rank, K^2, h^1, normalization type: the last three
-are expected-only and never claimed as computed), and the assumptions under
-which irreducibility is implied.  K^2 is computed exactly from the model
-itself (compute_k2).
+are expected-only and never claimed as computed); every record stands on
+the same ASSUMPTIONS.  K^2 is computed exactly from the model itself
+(compute_k2).
 
 verify_example runs the chart-by-chart pipeline for one record and diffs the
 results against the expected row; verify_all runs every in-scope record.
-Reports serialize to JSON deterministically (schema 1); wall times are kept
-out of the JSON unless explicitly requested so consecutive runs are
-byte-identical.
+Scheme returns each check's verdict and per-chart values (booleans,
+Polynomial bases, witness minors); this module alone renders them into
+report statuses, notes and certificates.  Reports
+serialize to JSON deterministically (schema 1); wall times are kept out of
+the JSON unless explicitly requested so consecutive runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -54,12 +56,16 @@ class ExpectedRow:
     geom_normal: bool = False
 
 
+# what every record assumes: properness and H0 = k, so regularity implies
+# irreducibility (geom_integral), and Cohen-Macaulay charts, so S2 holds
+ASSUMPTIONS = ("proper", "H0=k", "Cohen-Macaulay")
+
+
 @dataclass(frozen=True)
 class ExampleRecord:
     record_id: str
     expected: ExpectedRow
     model_text: str
-    assumptions: tuple[str, ...] = ("proper", "H0=k", "Cohen-Macaulay")
     extras: str | None = None
     extra_data: tuple = ()
     notes: tuple[str, ...] = ()
@@ -150,10 +156,6 @@ blowup chart=D+(y) center z ; w
 """
 
 
-def _row(table, row, p, rho, k2, h1, normalization, rays=None, **flags):
-    return ExpectedRow(table, row, p, rho, k2, h1, normalization, rays, **flags)
-
-
 _RECORDS: dict[str, ExampleRecord] = {}
 
 
@@ -166,7 +168,7 @@ def _add(record: ExampleRecord):
 _add(
     ExampleRecord(
         "e1-1-p3",
-        _row(1, "1-1", 3, 1, 1, 0, "P^2"),
+        ExpectedRow(1, "1-1", 3, 1, 1, 0, "P^2"),
         _SEXTIC.format(p=3),
         notes=(
             "the chart U with y and z inverted covers the locus missed by the weight-1 charts",
@@ -176,7 +178,7 @@ _add(
 _add(
     ExampleRecord(
         "e1-1-p2",
-        _row(2, "1-1", 2, 1, 1, 0, "P^2"),
+        ExpectedRow(2, "1-1", 2, 1, 1, 0, "P^2"),
         _SEXTIC.format(p=2),
         notes=(
             "the chart U with y and z inverted covers the locus missed by the weight-1 charts",
@@ -186,14 +188,14 @@ _add(
 _add(
     ExampleRecord(
         "e1-2",
-        _row(2, "1-2", 2, 1, 2, 0, "P(1,1,2) or P^1 x P^1"),
+        ExpectedRow(2, "1-2", 2, 1, 2, 0, "P(1,1,2) or P^1 x P^1"),
         _E1_2,
     )
 )
 _add(
     ExampleRecord(
         "e1-3",
-        _row(1, "1-3", 3, 1, 3, 0, "P(1,1,3)"),
+        ExpectedRow(1, "1-3", 3, 1, 3, 0, "P(1,1,3)"),
         _E1_3,
         notes=(
             "the geometric singular locus is the line x = y with s^(1/3)z + t^(1/3)w = x "
@@ -204,14 +206,14 @@ _add(
 _add(
     ExampleRecord(
         "e1-4",
-        _row(2, "1-4", 2, 1, 4, 0, "P^2 or P^1 x P^1"),
+        ExpectedRow(2, "1-4", 2, 1, 4, 0, "P^2 or P^1 x P^1"),
         _E1_4,
     )
 )
 _add(
     ExampleRecord(
         "e2-2",
-        _row(2, "2-2", 2, 2, 2, 0, "P^1 x P^1", "C+C"),
+        ExpectedRow(2, "2-2", 2, 2, 2, 0, "P^1 x P^1", "C+C"),
         _E2_2,
         extras="disjoint_curves",
         extra_data=(
@@ -226,7 +228,7 @@ _add(
 _add(
     ExampleRecord(
         "e2-3",
-        _row(2, "2-3", 2, 2, 3, 0, "P_{P^1}(O + O(1))", "B+C"),
+        ExpectedRow(2, "2-3", 2, 2, 3, 0, "P_{P^1}(O + O(1))", "B+C"),
         _E2_3,
         notes=(
             "verified through the blow-up presentation; the cubic-hypersurface "
@@ -237,14 +239,14 @@ _add(
 _add(
     ExampleRecord(
         "e2-4",
-        _row(2, "2-4", 2, 2, 4, 0, "P^1 x P^1", "C+C"),
+        ExpectedRow(2, "2-4", 2, 2, 4, 0, "P^1 x P^1", "C+C"),
         _E2_4,
     )
 )
 _add(
     ExampleRecord(
         "e2-5-pencil",
-        _row(2, "2-5", 2, 2, 5, 0, "P_{P^1}(O + O(1))", "B+C"),
+        ExpectedRow(2, "2-5", 2, 2, 5, 0, "P_{P^1}(O + O(1))", "B+C"),
         _E2_5_PENCIL,
         extras="cross_model",
         extra_data=("e2-5-blowup",),
@@ -253,7 +255,7 @@ _add(
 _add(
     ExampleRecord(
         "e2-5-blowup",
-        _row(2, "2-5", 2, 2, 5, 0, "P_{P^1}(O + O(1))", "B+C"),
+        ExpectedRow(2, "2-5", 2, 2, 5, 0, "P_{P^1}(O + O(1))", "B+C"),
         _E2_5_BLOWUP,
         extras="cross_model",
         extra_data=("e2-5-pencil",),
@@ -262,7 +264,7 @@ _add(
 _add(
     ExampleRecord(
         "e2-6",
-        _row(2, "2-6", 2, 2, 6, 0, "P_{P^1}(O + O(2))", "B+C"),
+        ExpectedRow(2, "2-6", 2, 2, 6, 0, "P_{P^1}(O + O(2))", "B+C"),
         _E2_6,
     )
 )
@@ -284,13 +286,13 @@ RECORD_ORDER = (
 OUT_OF_SCOPE = (
     OutOfScopeRow(
         "1-1-i",
-        _row(2, "1-1-i", 2, 1, 1, 1, "P^2"),
+        ExpectedRow(2, "1-1-i", 2, 1, 1, 1, "P^2"),
         "irregular surface (h^1 = 1); outside the verification pipeline's assumptions",
         has_example=True,
     ),
     OutOfScopeRow(
         "1-2-i",
-        _row(2, "1-2-i", 2, 1, 2, 1, "P(1,1,2)"),
+        ExpectedRow(2, "1-2-i", 2, 1, 2, 1, "P(1,1,2)"),
         "no known example for this row",
         has_example=False,
     ),
@@ -486,6 +488,9 @@ def verify_example(
     for c in selected:
         if c not in ALL_CHECKS:
             raise ValueError(f"unknown check {c!r}")
+    run = [c for c in ALL_CHECKS if c in selected and (c != "extras" or rec.extras is not None)]
+    if not run:
+        raise ValueError(f"no selected check applies to {record_id}")
     report = VerificationReport(record_id=record_id, expected=_expected_dict(rec))
     report.notes.extend(rec.notes)
     try:
@@ -508,9 +513,7 @@ def verify_example(
         "k2": _check_k2,
         "extras": partial(_run_extras, done=report.checks),
     }
-    for name in ALL_CHECKS:
-        if name not in selected or (name == "extras" and rec.extras is None):
-            continue
+    for name in run:
         if model is None:
             report.checks.append(CheckResult(name, "inconclusive", note=build_note))
             continue
@@ -572,7 +575,10 @@ def _check_geom_normal(rec: ExampleRecord, model: SurfaceModel, limits) -> Check
     data = [v.value or (None, ()) for v in charts]
     # a maximum over some of the charts is only a lower bound
     dim = None if any(v.value is None for v in charts) else max(d for d, _ in data)
-    cert = [_chart_certificate(v, v.limit, dim=d, basis=list(basis)) for v, (d, basis) in zip(charts, data)]
+    cert = [
+        _chart_certificate(v, v.limit, dim=d, basis=[str(g) for g in basis])
+        for v, (d, basis) in zip(charts, data)
+    ]
     return CheckResult(
         "geom_normal",
         _status(normal, rec.expected.geom_normal),
@@ -584,21 +590,22 @@ def _check_geom_normal(rec: ExampleRecord, model: SurfaceModel, limits) -> Check
 
 
 def _check_geom_integral(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:
-    res = geometric_integrality(model, rec.assumptions, limits)
+    # irreducibility follows from ASSUMPTIONS, so the verdict is reducedness
+    reduced, charts = geometric_integrality(model, limits)
     irreducible = "irreducibility implied by regularity with properness and H0 = k on record"
-    note = "; ".join(_undecided(res["charts"]) + [irreducible])
-    if res["reduced"] is None:
+    note = "; ".join(_undecided(charts) + [irreducible])
+    if reduced is None:
         return CheckResult("geom_integral", "inconclusive", note=note)
+    witness = None
+    if reduced:  # the charts stop at the first one with a witness
+        index, minor = charts[-1].value
+        witness = {"chart": charts[-1].chart, "minor_index": index, "minor": str(minor)}
     return CheckResult(
         "geom_integral",
-        _status(res["integral"], rec.expected.geom_integral),
+        _status(reduced, rec.expected.geom_integral),
         expected=_FLAG[rec.expected.geom_integral],
-        computed={
-            "geom_integral": _FLAG[res["integral"]],
-            "reduced": res["reduced"],
-            "irreducible": res["irreducible"],
-        },
-        certificate={"smooth_point_witness": res["witness"]},
+        computed={"geom_integral": _FLAG[reduced], "reduced": reduced, "irreducible": "implied"},
+        certificate={"smooth_point_witness": witness},
         note=note,
     )
 
@@ -621,18 +628,18 @@ def _run_extras(rec: ExampleRecord, model: SurfaceModel, limits, done) -> CheckR
         a_texts, b_texts = rec.extra_data
         a_gens = [parse_poly(model.ring, t) for t in a_texts]
         b_gens = [parse_poly(model.ring, t) for t in b_texts]
-        rep = subschemes_disjoint(model, a_gens, b_gens, limits)
-        if rep.disjoint is None:
-            return CheckResult("extras", "inconclusive", note="; ".join(rep.notes))
+        disjoint, charts = subschemes_disjoint(model, a_gens, b_gens, limits)
+        if disjoint is None:
+            skipped = [f"{c.name} skipped (no ambient restriction)" for c in model.charts if not c.from_vars]
+            notes = [f"chart {note}" for note in skipped + _undecided(charts)]
+            return CheckResult("extras", "inconclusive", note="; ".join(notes))
+        unit = {True: "unit", False: "not-unit", None: "inconclusive"}
         return CheckResult(
             "extras",
-            _status(rep.disjoint, True),
+            _status(disjoint, True),
             expected={"disjoint": True},
-            computed={"disjoint": rep.disjoint},
-            certificate={
-                "kind": "disjointness",
-                "charts": [[name, verdict] for name, verdict in rep.chart_certificates],
-            },
+            computed={"disjoint": disjoint},
+            certificate={"kind": "disjointness", "charts": [[v.chart, unit[v.value]] for v in charts]},
             note="two disjoint curves witness Picard rank >= 2",
         )
     if rec.extras == "cross_model":

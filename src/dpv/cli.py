@@ -42,7 +42,7 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
 
 def _limits(args) -> Limits:
     """The environment's limits, with --limit-pairs in place of the pair
-    limit when given.  Raises ValueError for a malformed DPV_* value."""
+    limit when given.  Raises ValueError for a malformed or negative limit."""
     limits = Limits.from_env()
     if args.limit_pairs is not None:
         limits = replace(limits, max_pairs=args.limit_pairs)
@@ -64,23 +64,34 @@ def _print_report(report, timings: bool):
 
 
 def _cmd_verify(args) -> int:
-    checks = _parse_checks(args.check) if args.check else None
+    checks = None if args.check is None else _parse_checks(args.check)
     try:
         report = verify_example(args.record_id, checks, args.limits)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
+        # an unknown record, or a selection that runs no check
         print(exc.args[0], file=sys.stderr)
         return 1
     _print_report(report, args.timings)
     if args.json:
-        _dump(report.to_json(include_timings=args.timings), Path(args.json))
+        try:
+            _dump(report.to_json(include_timings=args.timings), Path(args.json))
+        except OSError as exc:  # an unusable --json path is rejected input
+            return _reject(args.json, exc)
     return {"pass": 0, "fail": 1, "inconclusive": 2}[report.status]
 
 
 def _cmd_verify_all(args) -> int:
-    summary = verify_all(p=args.p, limits=args.limits)
-    outdir = Path(args.json) if args.json else None
+    # an unusable --json path (OSError) is rejected input
+    try:
+        return _verify_all(args, Path(args.json) if args.json else None)
+    except OSError as exc:
+        return _reject(args.json, exc)
+
+
+def _verify_all(args, outdir: Path | None) -> int:
     if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
+        outdir.mkdir(parents=True, exist_ok=True)  # before any work
+    summary = verify_all(p=args.p, limits=args.limits)
     rows = []
     for report in summary.reports:
         exp = report.expected

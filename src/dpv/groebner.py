@@ -34,6 +34,12 @@ class Limits:
     # stall a single normal form
     max_steps: int | None = None
 
+    def __post_init__(self):
+        # the one check of every limit: in code, --limit-pairs and DPV_*
+        for what, value in (("pair limit", self.max_pairs), ("step limit", self.max_steps)):
+            if value is not None and value < 0:
+                raise ValueError(f"{what} must not be negative, got {value}")
+
     @classmethod
     def from_env(cls) -> "Limits":
         """Limits from DPV_PAIR_LIMIT and DPV_STEP_LIMIT; unset or empty
@@ -265,8 +271,8 @@ def _interreduce(
     return reduced
 
 
-def is_unit_ideal(gens: list[Polynomial], order: MonomialOrder | None = None, limits: Limits | None = None) -> bool:
-    G = buchberger(gens, order, limits)
+def is_unit_ideal(gens: list[Polynomial], limits: Limits | None = None) -> bool:
+    G = buchberger(gens, None, limits)
     return len(G) == 1 and G[0].is_constant() and not G[0].is_zero()
 
 
@@ -290,7 +296,7 @@ def radical_membership(
     if g.is_zero():
         return True
     lifted, big = _with_inverse(gens, g)
-    return is_unit_ideal(lifted, grevlex(big.ngeom), limits)
+    return is_unit_ideal(lifted, limits)
 
 
 def saturate(

@@ -145,10 +145,11 @@ def hypersurface_lattice(factors: list[int], multidegree: list[int]) -> DivisorL
     )
 
 
-def cover_lattice(factors: list[int], bidegree: list[int], degree: int = 2) -> DivisorLattice:
-    """Lattice of pulled-back hyperplane classes on a finite flat cover of a
-    product of projective spaces that is a surface: the form scales by the
-    cover degree, and K = pullback of (K_base + branch class/degree)."""
+def cover_lattice(factors: list[int], bidegree: list[int]) -> DivisorLattice:
+    """Lattice of pulled-back hyperplane classes on a double cover of a
+    product of projective spaces that is a surface, branched over a section
+    of twice the given bidegree: the form doubles, and K = pullback of
+    (K_base + bidegree)."""
     if sum(factors) != 2:
         raise ValueError("base is not a surface")
     n = len(factors)
@@ -157,7 +158,7 @@ def cover_lattice(factors: list[int], bidegree: list[int], degree: int = 2) -> D
         row = []
         for j in range(n):
             e = [(1 if k == i else 0) + (1 if k == j else 0) for k in range(n)]
-            row.append(degree if e == list(factors) else 0)
+            row.append(2 if e == list(factors) else 0)
         gram.append(tuple(row))
     canonical = tuple(b - (a + 1) for a, b in zip(factors, bidegree))
     return DivisorLattice(

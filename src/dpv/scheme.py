@@ -40,6 +40,10 @@ even when a resource limit stopped another chart (chart_by_chart,
 every_chart).  A check that must hold on every chart (regular, geom_normal,
 disjointness) fails on one failing chart, and is None when none fails and
 some chart was stopped; reducedness holds at the first smooth-point witness.
+Each check returns (verdict, charts): True/False/None and one ChartVerdict
+per chart tried, valued by what it decided (a bool, a dimension with its
+Polynomial basis, a minor index with its minor).  The catalogue renders
+these values into report text; this module makes none for them.
 """
 
 from __future__ import annotations
@@ -140,14 +144,8 @@ class Chart:
         ring2 = self.ring.with_extra_geom_vars((inv_name,))
         eqs = tuple(e.change_ring(ring2) for e in self.equations)
         inv = tuple((g.change_ring(ring2), nm) for g, nm in self.inverted)
-        return Chart(
-            name=self.name,
-            ring=ring2,
-            equations=eqs,
-            inverted=inv + ((u.change_ring(ring2), inv_name),),
-            provenance=self.provenance,
-            from_vars=self.from_vars,
-        )
+        inv += ((u.change_ring(ring2), inv_name),)
+        return replace(self, ring=ring2, equations=eqs, inverted=inv)
 
 
 @dataclass
@@ -375,16 +373,7 @@ def double_cover(
         wname = bc.ring.fresh_name("w")
         cring = bc.ring.with_extra_geom_vars((wname,))
         w = Polynomial.variable(cring, wname)
-        eq = w * w - s_chart.change_ring(cring)
-        charts.append(
-            Chart(
-                name=bc.name,
-                ring=cring,
-                equations=(eq,),
-                provenance="standard",
-                from_vars=bc.from_vars,
-            )
-        )
+        charts.append(replace(bc, ring=cring, equations=(w * w - s_chart.change_ring(cring),)))
     return SurfaceModel(
         model_id=model_id,
         ambient=ambient,
@@ -596,14 +585,14 @@ def check_regular(model: SurfaceModel, limits: Limits | None = None):
     return every_chart(charts), charts
 
 
-def chart_singular_data(chart: Chart, limits: Limits | None = None) -> tuple[int, tuple[str, ...]]:
+def chart_singular_data(chart: Chart, limits: Limits | None = None) -> tuple[int, list[Polynomial]]:
     """Dimension of the geometric nonsmooth locus on one chart, read off the
     p-th root closure basis that is also its certificate: the closure lies
     between the nonsmooth ideal and its radical, so the dimension agrees.
     Returns (dimension, basis)."""
     basis = pth_root_closure(nonsmooth_ideal(chart, include_params=False), limits)
     n = chart.ring.ngeom
-    return dimension_of_basis(basis, n, grevlex(n)), tuple(str(g) for g in basis)
+    return dimension_of_basis(basis, n, grevlex(n)), basis
 
 
 def is_geometrically_normal(model: SurfaceModel, limits: Limits | None = None):
@@ -646,8 +635,8 @@ def _outside_radical(m: Polynomial, eqs, limits: Limits | None) -> bool:
 
 
 def _smooth_point_witness(c: Chart, limits: Limits | None):
-    """The first Jacobian minor of the chart outside the radical of its
-    ideal, or False when every minor lies inside.
+    """(index, minor) for the first Jacobian minor of the chart outside the
+    radical of its ideal, or False when every minor lies inside.
 
     Each minor is first tried on the fibres over the F_p-points of the one
     or two geometric variables it uses (_nonzero_on_a_fibre), and only
@@ -659,30 +648,19 @@ def _smooth_point_witness(c: Chart, limits: Limits | None):
     eqs = c.full_equations()
     for i, m in enumerate(jacobian_minors(eqs, c.ring, c.codim, include_params=False)):
         if _outside_radical(m, eqs, limits):
-            return {"chart": c.name, "minor_index": i, "minor": str(m)}
+            return i, m
     return False
 
 
-def geometric_integrality(model: SurfaceModel, assumptions: tuple[str, ...] = (), limits: Limits | None = None):
+def geometric_integrality(model: SurfaceModel, limits: Limits | None = None):
     """Reducedness: some chart carries a geometric smooth point, witnessed by
-    a Jacobian minor outside the radical of the chart ideal; the charts are
-    tried in order up to the first witness, and reducedness is None when no
-    chart shows one and some chart is undecided.  Irreducibility is
-    'implied' when regularity, properness and H0 = k are all on record."""
+    a Jacobian minor outside the radical of the chart ideal.  The charts are
+    tried in order up to the first witness.  Returns (True/False/None,
+    per-chart verdicts valued by (minor_index, minor) or False); None when
+    no chart shows a witness and some chart is undecided."""
     charts = chart_by_chart(model.charts, lambda c: _smooth_point_witness(c, limits), until=bool)
     no_witness = every_chart(charts, lambda witness: not witness)
-    reduced = None if no_witness is None else not no_witness
-    if "proper" in assumptions and "H0=k" in assumptions:
-        irreducible = "implied"
-    else:
-        irreducible = "unchecked"
-    return {
-        "reduced": reduced,
-        "witness": next((v.value for v in charts if v.value), None),
-        "irreducible": irreducible,
-        "integral": bool(reduced and irreducible == "implied"),
-        "charts": charts,
-    }
+    return (None if no_witness is None else not no_witness), charts
 
 
 def restrict_to_chart(f: Polynomial, chart: Chart) -> Polynomial:
@@ -695,24 +673,18 @@ def restrict_to_chart(f: Polynomial, chart: Chart) -> Polynomial:
     return g.change_ring(chart.ring)
 
 
-@dataclass
-class DisjointnessReport:
-    disjoint: bool | None
-    chart_certificates: tuple[tuple[str, str], ...] = ()
-    notes: tuple[str, ...] = ()
-
-
 def subschemes_disjoint(
     model: SurfaceModel,
     a_gens: list[Polynomial],
     b_gens: list[Polynomial],
     limits: Limits | None = None,
-) -> DisjointnessReport:
+):
     """Emptiness of the intersection of two homogeneous subschemes of the
-    model: a unit-ideal certificate on every standard chart, then emptiness
-    on the locus those charts miss.  A not-unit chart decides False and an
-    inconclusive one None, with no ambient test."""
-    notes = [f"chart {c.name} skipped (no ambient restriction)" for c in model.charts if not c.from_vars]
+    model: the unit ideal on every standard chart, then emptiness on the
+    locus those charts miss.  Charts without ambient restriction data are
+    not tried.  Returns (True/False/None, per-chart verdicts valued by
+    whether the chart's ideal is the unit ideal); a not-unit chart decides
+    False and an undecided one None, with no ambient test."""
     gens = list(a_gens) + list(b_gens)
 
     def unit_on(c: Chart) -> bool:
@@ -723,6 +695,4 @@ def subschemes_disjoint(
     disjoint = every_chart(charts)
     if disjoint:
         disjoint = model.ambient.uncharted_empty(list(model.equations) + gens, limits)
-    certs = tuple((v.chart, {True: "unit", False: "not-unit"}.get(v.value, "inconclusive")) for v in charts)
-    notes += [f"chart {v.chart}: {v.limit}" for v in charts if v.value is None]
-    return DisjointnessReport(disjoint, certs, tuple(notes))
+    return disjoint, charts

@@ -222,7 +222,7 @@ def test_criterion_7_emptiness_matches_point_search():
             try:
                 if dimension(gens, ring, None, lim) > 0:
                     continue
-                empty = is_unit_ideal(gens, None, lim)
+                empty = is_unit_ideal(gens, limits=lim)
             except Inconclusive:
                 continue
             found = scan(F, [ff.int_terms(g) for g in gens])
@@ -276,7 +276,7 @@ def test_criterion_7_emptiness_matches_point_search():
         if not gens:
             continue
         try:
-            empty = is_unit_ideal(gens, None, lim)
+            empty = is_unit_ideal(gens, limits=lim)
         except Inconclusive:
             continue
         found = ff.univariate_common_root_scan(F, [ff.int_terms(g) for g in gens])

@@ -46,10 +46,11 @@ def test_load_example_rejects_unknowns():
 
 
 def test_record_shapes():
+    # one set of standing assumptions for every record
+    assert catalogue.ASSUMPTIONS == ("proper", "H0=k", "Cohen-Macaulay")
     for rid in RECORD_ORDER:
         rec, model = load_example(rid)
         assert rec.expected.p in (2, 3)
-        assert rec.assumptions == ("proper", "H0=k", "Cohen-Macaulay")
         assert model.charts  # something to verify
         assert compute_k2(model)[1]["method"] in (
             "weighted_ci",
@@ -71,10 +72,11 @@ def test_check_subset_and_unknown_check():
     assert rep.status == "pass"
     with pytest.raises(ValueError):
         verify_example("e1-2", checks=("k2", "bogus"))
-    # extras is a no-op for records that declare none
-    rep2 = verify_example("e1-2", checks=("extras",))
-    assert rep2.checks == []
-    assert rep2.status == "pass"
+    # a selection that runs no check is rejected: extras on a record that
+    # declares none, or nothing at all
+    for nothing in (("extras",), ()):
+        with pytest.raises(ValueError, match="^no selected check applies to e1-2$"):
+            verify_example("e1-2", checks=nothing)
 
 
 def test_report_json_shape():

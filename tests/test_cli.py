@@ -268,3 +268,52 @@ def test_readme_library_block_prints_its_comments(capsys):
     assert len(want) == 3
     exec(block, {})
     assert capsys.readouterr().out.splitlines() == want
+
+
+@pytest.mark.parametrize("check", ["", ",", "extras"])
+def test_verify_rejects_a_selection_that_runs_nothing(capsys, check):
+    # "" and "," select no check, and e1-2 declares no extras
+    assert main(["verify", "e1-2", "--check", check]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "no selected check applies to e1-2\n"
+
+
+def test_verify_rejects_an_unwritable_json_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert main(["verify", "e1-2", "--check", "k2", "--json", str(target)]) == 1
+    assert capsys.readouterr().err == f"{target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
+def test_verify_all_rejects_a_json_path_that_is_a_file(tmp_path, capsys):
+    target = tmp_path / "reports"
+    target.write_text("kept\n")
+    assert main(["verify-all", "--p", "3", "--json", str(target)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""  # rejected before any record is verified
+    assert out.err == f"{target}: File exists\n"
+    assert target.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("var, value, argv, message", [
+    (None, None, ["verify", "e2-3", "--limit-pairs", "-1"], "pair limit must not be negative, got -1"),
+    ("DPV_PAIR_LIMIT", "-3", ["verify", "e2-3"], "pair limit must not be negative, got -3"),
+    ("DPV_STEP_LIMIT", "-5", ["verify-all"], "step limit must not be negative, got -5"),
+])
+def test_negative_limit_is_rejected_up_front(monkeypatch, capsys, var, value, argv, message):
+    monkeypatch.delenv("DPV_PAIR_LIMIT", raising=False)
+    monkeypatch.delenv("DPV_STEP_LIMIT", raising=False)
+    if var is not None:
+        monkeypatch.setenv(var, value)
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == message + "\n"
+
+
+def test_limits_reject_negative_values_and_keep_zero():
+    for bad in ({"max_pairs": -1}, {"max_steps": -1}):
+        with pytest.raises(ValueError, match="must not be negative, got -1$"):
+            Limits(**bad)
+    Limits(max_pairs=0, max_steps=0)  # zero is a limit, tripped by any work

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from dpv import groebner, scheme
-from dpv.catalogue import RECORD_ORDER, _record, load_example
+from dpv.catalogue import RECORD_ORDER, _record, load_example, verify_example
 from dpv.groebner import Inconclusive, buchberger, dimension, is_unit_ideal
 from dpv.orders import grevlex
 from dpv.parsing import parse_model, parse_poly, parse_ring
@@ -243,10 +243,10 @@ def test_check_regular_decides_no_past_a_tripped_chart(monkeypatch):
     )
     real = scheme.is_unit_ideal
 
-    def trips_on_x_chart(gens, order=None, limits=None):
+    def trips_on_x_chart(gens, limits=None):
         if "x" not in gens[0].ring.geom:
             raise Inconclusive("pair limit 1 exceeded")
-        return real(gens, order, limits)
+        return real(gens, limits)
 
     monkeypatch.setattr(scheme, "is_unit_ideal", trips_on_x_chart)
     verdict, per_chart = check_regular(cone, None)
@@ -297,9 +297,16 @@ def test_fibre_test_never_fires_inside_the_radical():
 
 def test_geometric_integrality_reads_past_a_tripped_chart(monkeypatch):
     q = build(QUADRIC, "q")
+    reduced, charts = geometric_integrality(q, None)
+    assert reduced is True
+    # the last chart tried carries the witness: a minor index and the minor,
+    # a polynomial outside the radical of that chart's ideal
+    index, minor = charts[-1].value
+    assert index >= 0 and isinstance(minor, Polynomial)
+    assert not groebner.radical_membership(minor, q.chart(charts[-1].chart).full_equations())
     first, rest = q.charts[0], q.charts[1:]
-    expected = geometric_integrality(replace(q, charts=rest), ("proper", "H0=k"), None)["witness"]
-    assert expected["chart"] != first.name
+    expected = geometric_integrality(replace(q, charts=rest), None)[1][-1]
+    assert expected.chart != first.name
     # the trip is injected at the one per-minor decision, which holds both
     # the fibre test and the Rabinowitsch fallback
     real = scheme._outside_radical
@@ -310,20 +317,20 @@ def test_geometric_integrality_reads_past_a_tripped_chart(monkeypatch):
         return real(m, eqs, limits)
 
     monkeypatch.setattr(scheme, "_outside_radical", trips_on_first_chart)
-    res = geometric_integrality(q, ("proper", "H0=k"), None)
-    assert res["reduced"] is True and res["integral"] is True
-    assert res["witness"] == expected
-    assert [(v.chart, v.limit) for v in res["charts"]][0] == (first.name, "pair limit 1 exceeded")
+    reduced, charts = geometric_integrality(q, None)
+    assert reduced is True
+    assert [v.value for v in charts if v.value] == [expected.value]
+    assert [(v.chart, v.limit) for v in charts][0] == (first.name, "pair limit 1 exceeded")
     # the charts are tried only up to the first witness
-    assert res["charts"][-1].chart == expected["chart"]
+    assert charts[-1].chart == expected.chart
 
     def always_trips(m, eqs, limits):
         raise Inconclusive("pair limit 1 exceeded")
 
     monkeypatch.setattr(scheme, "_outside_radical", always_trips)
-    res = geometric_integrality(q, ("proper", "H0=k"), None)
-    assert res["reduced"] is None and res["witness"] is None and res["integral"] is False
-    assert [v.chart for v in res["charts"]] == [c.name for c in q.charts]
+    reduced, charts = geometric_integrality(q, None)
+    assert reduced is None and not any(v.value for v in charts)
+    assert [v.chart for v in charts] == [c.name for c in q.charts]
 
 
 def test_geometric_singularity_vs_regularity():
@@ -334,20 +341,8 @@ def test_geometric_singularity_vs_regularity():
     assert max(d.value[0] for d in data) == 0
     by_name = {d.chart: d.value for d in data}
     assert by_name["D+(y)"][0] == 0
-    assert sorted(by_name["D+(y)"][1]) == ["w", "x^2 + s", "z"]
+    assert sorted(str(g) for g in by_name["D+(y)"][1]) == ["w", "x^2 + s", "z"]
     assert by_name["D+(z)"][0] == -1
-
-
-def test_geometric_integrality_needs_assumptions():
-    q = build(QUADRIC, "q")
-    full = geometric_integrality(q, ("proper", "H0=k"), None)
-    assert full["reduced"] is True
-    assert full["irreducible"] == "implied"
-    assert full["integral"] is True
-    assert full["witness"]["chart"]
-    partial = geometric_integrality(q, (), None)
-    assert partial["irreducible"] == "unchecked"
-    assert partial["integral"] is False
 
 
 def test_ambient_check_weighted_strata():
@@ -389,6 +384,11 @@ hypersurface u*(x^2+s*z^2)+v*(y^2+t*z^2)
 """
 
 
+def _units(charts):
+    # (chart, whether its ideal is the unit ideal; None when undecided)
+    return [(v.chart, v.value) for v in charts]
+
+
 def _recorded_ambient_probes(monkeypatch):
     # the test of the locus the standard charts miss is the only caller of
     # radical_membership (through projective_is_empty) in disjointness
@@ -409,15 +409,15 @@ def test_subschemes_disjoint_toy_cases(monkeypatch):
     point = [parse_poly(ring, "x"), parse_poly(ring, "y")]
     line = [parse_poly(ring, "z")]
     probes = _recorded_ambient_probes(monkeypatch)
-    rep = subschemes_disjoint(plane, point, line, None)
-    assert rep.disjoint is True
-    assert all(v == "unit" for _, v in rep.chart_certificates)
+    disjoint, charts = subschemes_disjoint(plane, point, line, None)
+    assert disjoint is True
+    assert all(v.value is True for v in charts)
     # all weights 1: the standard charts cover P^2 and decide alone
     assert probes == []
 
-    meet = subschemes_disjoint(plane, [parse_poly(ring, "x")], [parse_poly(ring, "y")], None)
-    assert meet.disjoint is False
-    assert ("D+(z)", "not-unit") in meet.chart_certificates
+    disjoint, charts = subschemes_disjoint(plane, [parse_poly(ring, "x")], [parse_poly(ring, "y")], None)
+    assert disjoint is False
+    assert ("D+(z)", False) in _units(charts)
     assert probes == []
 
 
@@ -432,15 +432,15 @@ def test_subschemes_disjoint_weighted_tests_only_the_heavy_variable(monkeypatch)
     ring = m.ring
     probes = _recorded_ambient_probes(monkeypatch)
     # x = 0 and y = 0 meet only at [0:0:1], which no weight-1 chart sees
-    meet = subschemes_disjoint(m, [parse_poly(ring, "x")], [parse_poly(ring, "y")], None)
-    assert meet.chart_certificates == (("D+(x)", "unit"), ("D+(y)", "unit"))
-    assert meet.disjoint is False
+    disjoint, charts = subschemes_disjoint(m, [parse_poly(ring, "x")], [parse_poly(ring, "y")], None)
+    assert _units(charts) == [("D+(x)", True), ("D+(y)", True)]
+    assert disjoint is False
     assert probes == ["z"]
     # the point [0:1:0] misses the line y = 0; the probe rules out [0:0:1]
     probes.clear()
     point = [parse_poly(ring, "x"), parse_poly(ring, "z")]
-    rep = subschemes_disjoint(m, point, [parse_poly(ring, "y")], None)
-    assert rep.disjoint is True
+    disjoint, _ = subschemes_disjoint(m, point, [parse_poly(ring, "y")], None)
+    assert disjoint is True
     assert probes == ["z"]
 
 
@@ -450,10 +450,10 @@ def test_subschemes_disjoint_three_factor_product(monkeypatch):
     # only the products of one variable from each of the three factors do
     m = build(P1_CUBED, "p1cubed")
     probes = _recorded_ambient_probes(monkeypatch)
-    rep = subschemes_disjoint(m, [parse_poly(m.ring, "a0")], [parse_poly(m.ring, "a1")], None)
-    assert len(rep.chart_certificates) == 8
-    assert all(v == "unit" for _, v in rep.chart_certificates)
-    assert rep.disjoint is True
+    disjoint, charts = subschemes_disjoint(m, [parse_poly(m.ring, "a0")], [parse_poly(m.ring, "a1")], None)
+    assert len(charts) == 8
+    assert all(v.value is True for v in charts)
+    assert disjoint is True
     # the product charts cover P^1 x P^1 x P^1: no ambient probe
     assert probes == []
 
@@ -463,14 +463,14 @@ def test_subschemes_disjoint_two_factor_product(monkeypatch):
     ring = m.ring
     probes = _recorded_ambient_probes(monkeypatch)
     # u = v = 0 is empty in the P^1 factor
-    rep = subschemes_disjoint(m, [parse_poly(ring, "u")], [parse_poly(ring, "v")], None)
-    assert rep.disjoint is True
-    assert all(v == "unit" for _, v in rep.chart_certificates)
+    disjoint, charts = subschemes_disjoint(m, [parse_poly(ring, "u")], [parse_poly(ring, "v")], None)
+    assert disjoint is True
+    assert all(v.value is True for v in charts)
     assert probes == []
     # x = y = 0 meets the surface at ([0:0:1], [t:s])
-    meet = subschemes_disjoint(m, [parse_poly(ring, "x")], [parse_poly(ring, "y")], None)
-    assert meet.disjoint is False
-    assert ("D+(z)&D+(u)", "not-unit") in meet.chart_certificates
+    disjoint, charts = subschemes_disjoint(m, [parse_poly(ring, "x")], [parse_poly(ring, "y")], None)
+    assert disjoint is False
+    assert ("D+(z)&D+(u)", False) in _units(charts)
     assert probes == []
 
 
@@ -481,20 +481,20 @@ def test_subschemes_disjoint_inconclusive_chart(monkeypatch):
     b_gens = [parse_poly(m.ring, t) for t in b_texts]
     real = scheme.is_unit_ideal
 
-    def trips_on_x1_chart(gens, order=None, limits=None):
+    def trips_on_x1_chart(gens, limits=None):
         if "x1" not in gens[0].ring.geom:
             raise Inconclusive("pair limit 1 exceeded")
-        return real(gens, order, limits)
+        return real(gens, limits)
 
     monkeypatch.setattr(scheme, "is_unit_ideal", trips_on_x1_chart)
-    rep = subschemes_disjoint(m, a_gens, b_gens, None)
-    assert rep.disjoint is None
-    assert rep.chart_certificates == (
-        ("D+(x0)", "unit"),
-        ("D+(x1)", "inconclusive"),
-        ("D+(x2)", "unit"),
-    )
-    assert rep.notes == ("chart D+(x1): pair limit 1 exceeded",)
+    disjoint, charts = subschemes_disjoint(m, a_gens, b_gens, None)
+    assert disjoint is None
+    assert _units(charts) == [("D+(x0)", True), ("D+(x1)", None), ("D+(x2)", True)]
+    assert charts[1].limit == "pair limit 1 exceeded"
+    # the report renders the undecided chart as its note
+    extras = verify_example("e2-2", ("extras",)).check("extras")
+    assert extras.status == "inconclusive"
+    assert extras.note == "chart D+(x1): pair limit 1 exceeded"
 
 
 def test_extra_chart_inverts_non_identifier_texts():
@@ -519,7 +519,7 @@ def test_chart_singular_data_certificate_reduces():
     dim, basis = chart_singular_data(q.chart("D+(y)"), None)
     assert dim == 0
     # the certificate basis cuts exactly the inseparable point
-    assert "x^2 + s" in basis
+    assert "x^2 + s" in [str(g) for g in basis]
 
 
 def _uncleared_nonsmooth_ideal(chart, include_params):
