@@ -12,8 +12,11 @@ Exit codes: 0 all checks passed, 1 a check failed or the input was rejected,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -65,6 +68,14 @@ def _print_report(report, timings: bool):
 
 def _cmd_verify(args) -> int:
     checks = None if args.check is None else _parse_checks(args.check)
+    target = Path(args.json) if args.json else None
+    if target is not None:
+        try:  # an unusable --json path is rejected input, before any work
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            tempfile.TemporaryFile(dir=target.parent).close()  # its directory takes a file
+        except OSError as exc:
+            return _reject(args.json, exc)
     try:
         report = verify_example(args.record_id, checks, args.limits)
     except (KeyError, ValueError) as exc:
@@ -72,9 +83,9 @@ def _cmd_verify(args) -> int:
         print(exc.args[0], file=sys.stderr)
         return 1
     _print_report(report, args.timings)
-    if args.json:
+    if target is not None:
         try:
-            _dump(report.to_json(include_timings=args.timings), Path(args.json))
+            _dump(report.to_json(include_timings=args.timings), target)
         except OSError as exc:  # an unusable --json path is rejected input
             return _reject(args.json, exc)
     return {"pass": 0, "fail": 1, "inconclusive": 2}[report.status]

@@ -23,7 +23,10 @@ and then on that locus alone.
 Regularity uses the Jacobian criterion over the base field F_p(params) with
 derivations taken in both variable sorts: geometric columns detect smoothness
 over the algebraic closure, parameter columns supply the extra derivations
-that distinguish regular-but-not-smooth points.
+that distinguish regular-but-not-smooth points.  The ideal with parameter
+columns contains every geometric minor, so the non-regular locus lies inside
+the geometric non-smooth locus, and a chart whose p-th root closure basis
+(geom_normal's certificate, kept per model) is [1] is regular.
 
 Reducedness is witnessed by a Jacobian minor m outside the radical of a
 chart ideal I.  Before the Rabinowitsch basis of (I, 1 - T*m), each minor
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .groebner import (
     Inconclusive,
@@ -160,6 +163,12 @@ class SurfaceModel:
     parent: "SurfaceModel | None" = None
     center_degree: int | None = None
     notes: tuple[str, ...] = ()
+    # chart name -> decided chart_singular_data, exact under any limits
+    _singular: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if len({c.name for c in self.charts}) < len(self.charts):
+            raise ValueError(f"chart names repeat: {[c.name for c in self.charts]}")
 
     @property
     def ring(self) -> RingContext:
@@ -574,17 +583,6 @@ def every_chart(verdicts, holds=bool) -> bool | None:
     return True
 
 
-def check_regular(model: SurfaceModel, limits: Limits | None = None):
-    """Jacobian criterion with parameter derivations: the non-regular locus
-    ideal is the unit ideal on every chart.  Returns (True/False/None,
-    per-chart verdicts)."""
-    charts = chart_by_chart(
-        model.charts,
-        lambda c: is_unit_ideal(nonsmooth_ideal(c, include_params=True), limits=limits),
-    )
-    return every_chart(charts), charts
-
-
 def chart_singular_data(chart: Chart, limits: Limits | None = None) -> tuple[int, list[Polynomial]]:
     """Dimension of the geometric nonsmooth locus on one chart, read off the
     p-th root closure basis that is also its certificate: the closure lies
@@ -595,13 +593,41 @@ def chart_singular_data(chart: Chart, limits: Limits | None = None) -> tuple[int
     return dimension_of_basis(basis, n, grevlex(n)), basis
 
 
+def _singular_data(model: SurfaceModel, chart: Chart, limits: Limits | None):
+    """chart_singular_data of one of the model's charts, computed once; a
+    tripped limit is not kept."""
+    data = model._singular.get(chart.name)
+    if data is None:
+        data = model._singular[chart.name] = chart_singular_data(chart, limits)
+    return data
+
+
+def check_regular(model: SurfaceModel, limits: Limits | None = None):
+    """Jacobian criterion with parameter derivations: the non-regular locus
+    ideal is the unit ideal on every chart.  It contains every geometric
+    minor, so a chart whose closure basis is [1] (dimension -1) is regular
+    with no parameter minor built; other charts, and those whose closure
+    trips a limit, build it.  Returns (True/False/None, per-chart verdicts)."""
+
+    def regular_on(c: Chart) -> bool:
+        try:
+            if _singular_data(model, c, limits)[0] < 0:
+                return True
+        except Inconclusive:
+            pass
+        return is_unit_ideal(nonsmooth_ideal(c, include_params=True), limits=limits)
+
+    charts = chart_by_chart(model.charts, regular_on)
+    return every_chart(charts), charts
+
+
 def is_geometrically_normal(model: SurfaceModel, limits: Limits | None = None):
     """Serre criterion specialised to the catalogue presentations: normal iff
     the geometric singular locus has dimension <= 0 on every chart (S2
     holds for the hypersurface / complete-intersection charts in use).
     Returns (True/False/None, per-chart verdicts valued by
     chart_singular_data)."""
-    charts = chart_by_chart(model.charts, lambda c: chart_singular_data(c, limits))
+    charts = chart_by_chart(model.charts, lambda c: _singular_data(model, c, limits))
     return every_chart(charts, lambda data: data[0] <= 0), charts
 
 

@@ -218,11 +218,27 @@ def test_verify_all_work_stays_below_bound():
     # computing each Jacobian sub-minor once to 82,615, and testing
     # disjointness in the ambient only where the standard charts miss to
     # 80,800, and deciding a geom_integral witness on a nonempty fibre
-    # before any Rabinowitsch basis to 33,157
+    # before any Rabinowitsch basis to 33,157, and deciding regular on a
+    # chart whose closure basis is [1] without parameter minors to 19,165
     before = work_done()
     summary = verify_all()
     assert summary.exit_code == 0
-    assert work_done() - before < 33_200
+    assert work_done() - before < 19_200
+
+
+def test_regular_and_geom_normal_share_one_closure_per_chart(monkeypatch):
+    calls = []
+    real = scheme.pth_root_closure
+
+    def counted(gens, limits=None):
+        calls.append(gens)
+        return real(gens, limits)
+
+    monkeypatch.setattr(scheme, "pth_root_closure", counted)
+    report = verify_example("e2-3", ("regular", "geom_normal"))
+    assert [c.status for c in report.checks] == ["pass", "pass"]
+    _, model = load_example("e2-3")
+    assert len(model.charts) == len(calls) == 7
 
 
 @pytest.mark.parametrize("var, value", [("DPV_STEP_LIMIT", "abc"), ("DPV_PAIR_LIMIT", "1")])

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from dpv import cli
 from dpv.catalogue import record_ids
 from dpv.cli import _limits, build_parser, main
 from dpv.groebner import Limits
@@ -284,6 +285,26 @@ def test_verify_rejects_an_unwritable_json_path(tmp_path, capsys):
     assert main(["verify", "e1-2", "--check", "k2", "--json", str(target)]) == 1
     assert capsys.readouterr().err == f"{target}: No such file or directory\n"
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("where, reason", [
+    ("missing/report.json", "No such file or directory"),
+    ("kept/report.json", "Not a directory"),
+    (".", "Is a directory"),
+])
+def test_verify_rejects_an_unusable_json_path_before_verifying(tmp_path, monkeypatch, capsys, where, reason):
+    def refuse(*args):
+        raise AssertionError("verified before the --json path was checked")
+
+    monkeypatch.setattr(cli, "verify_example", refuse)
+    (tmp_path / "kept").write_text("kept\n")
+    target = tmp_path / where
+    assert main(["verify", "e2-3", "--json", str(target)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"{target}: {reason}\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["kept"]
+    assert (tmp_path / "kept").read_text() == "kept\n"
 
 
 def test_verify_all_rejects_a_json_path_that_is_a_file(tmp_path, capsys):
