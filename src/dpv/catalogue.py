@@ -9,10 +9,12 @@ the same ASSUMPTIONS.  K^2 is computed exactly from the model itself
 verify_example runs the chart-by-chart pipeline for one record and diffs the
 results against the expected row; verify_all runs every in-scope record.
 Scheme returns each check's verdict and per-chart values (booleans,
-Polynomial bases, witness minors); this module alone renders them into
-report statuses, notes and certificates.  Reports
-serialize to JSON deterministically (schema 1); wall times are kept out of
-the JSON unless explicitly requested so consecutive runs are byte-identical.
+Polynomial bases, witness minors), the ambient coverage and a blow-up's
+localising polynomial; this module alone renders them into report statuses,
+notes and certificates, the ambient and blow-up presentation notes included.
+Reports serialize to JSON deterministically (schema 1); wall times are kept
+out of the JSON unless explicitly requested so consecutive runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -498,7 +500,16 @@ def verify_example(
     except Inconclusive as exc:
         model, build_note = None, f"model build: {exc}"
     else:
-        report.notes.extend(model.notes)
+        if model.localizer is not None:
+            report.notes.append(
+                f"center chart localized by inverting {model.localizer} "
+                "so the center generators cut only the center point"
+            )
+        if model.presentation == "blow_up":
+            report.notes.append(
+                "retained parent charts verify the locus where the blow-up is an isomorphism; "
+                "blow-up charts verify the exceptional fiber"
+            )
     report.notes.append(
         "rho, h1, normalization and extremal-ray data are expected values, not computed"
     )
@@ -527,8 +538,21 @@ def verify_example(
     return report
 
 
+_COVERAGE_NOTES = {
+    "asserted": "weight-1 charts do not cover; remaining locus asserted covered by the declared extra charts",
+    "uncovered": "weight-1 charts do not cover and no extra charts are declared",
+}
+
+
 def _check_ambient(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:
-    amb = ambient_check(model, limits)
+    amb = ambient_check(model, limits)  # a blow-up's is its parent's
+    notes = []
+    if model.ambient.kind == "multiprojective":
+        notes.append("ambient is smooth; product charts cover")
+    if amb.coverage in _COVERAGE_NOTES:
+        notes.append(_COVERAGE_NOTES[amb.coverage])
+    if model.presentation == "blow_up":
+        notes.append("blow-up center verified zero-dimensional at construction")
     return CheckResult(
         "ambient",
         "pass" if amb.ok else "fail",
@@ -538,7 +562,7 @@ def _check_ambient(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResu
             "strata": [[d, bool(ok)] for d, ok in amb.strata],
             "coverage": amb.coverage,
         },
-        note="; ".join(amb.notes),
+        note="; ".join(notes),
     )
 
 
@@ -712,19 +736,18 @@ def verify_all(
 ) -> Summary:
     """Verify every in-scope record (optionally restricted to one
     characteristic), in the fixed catalogue order, on the calling thread.
-    threads must be 1: the work is pure Python under the interpreter lock,
-    so worker threads would only add overhead."""
+    A characteristic with no record and no out-of-scope row raises
+    ValueError.  threads must be 1: the work is pure Python under the
+    interpreter lock, so worker threads would only add overhead."""
     if threads != 1:
         raise ValueError(f"threads={threads}: records run on the calling thread only")
     problems = coverage_selftest()
     if problems:
         raise RuntimeError("catalogue self-test failed: " + "; ".join(problems))
-    ids = [rid for rid in RECORD_ORDER if p is None or _RECORDS[rid].expected.p == p]
+    ids = [rid for rid in RECORD_ORDER if p in (None, _RECORDS[rid].expected.p)]
+    skipped = [(row.row, row.reason) for row in OUT_OF_SCOPE if p in (None, row.expected.p)]
+    if not ids and not skipped:  # nothing verified is not a pass
+        raise ValueError(f"no record in characteristic {p}")
     t0 = time.perf_counter()
     reports = [verify_example(rid, None, limits) for rid in ids]
-    skipped = [
-        (row.row, row.reason)
-        for row in OUT_OF_SCOPE
-        if p is None or row.expected.p == p
-    ]
     return Summary(reports=reports, skipped=skipped, seconds=time.perf_counter() - t0)

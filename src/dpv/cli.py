@@ -215,8 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = subs.add_parser("verify", help="verify one catalogued example")
     pv.add_argument("record_id")
+    short = {check: alias for alias, check in _CHECK_ALIASES.items()}
     pv.add_argument("--check", help="comma-separated subset: " + ",".join(
-        ("ambient", "regular", "normal", "integral", "k2", "extras")))
+        short.get(check, check) for check in ALL_CHECKS))
     pv.add_argument("--json", help="write the report to this file")
     pv.add_argument("--limit-pairs", type=int, help="Groebner pair budget")
     pv.add_argument("--timings", action="store_true", help="include wall times")

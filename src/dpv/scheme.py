@@ -45,8 +45,10 @@ disjointness) fails on one failing chart, and is None when none fails and
 some chart was stopped; reducedness holds at the first smooth-point witness.
 Each check returns (verdict, charts): True/False/None and one ChartVerdict
 per chart tried, valued by what it decided (a bool, a dimension with its
-Polynomial basis, a minor index with its minor).  The catalogue renders
-these values into report text; this module makes none for them.
+Polynomial basis, a minor index with its minor).  ambient_check returns
+the strata and coverage, and a blow-up keeps the polynomial it inverted on
+its center chart (SurfaceModel.localizer, or None).  The catalogue renders
+these values into report text; this module makes none.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ class SurfaceModel:
     charts: tuple[Chart, ...] = ()
     parent: "SurfaceModel | None" = None
     center_degree: int | None = None
-    notes: tuple[str, ...] = ()
+    localizer: Polynomial | None = None  # h inverted on a blow-up's center chart
     # chart name -> decided chart_singular_data, exact under any limits
     _singular: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -321,13 +323,9 @@ def blow_up(
     if chart_name not in {c.name for c in parent.charts}:
         raise ValueError(f"blowup chart {chart_name!r} is not a chart of the model")
     c0 = parent.chart(chart_name)
-    notes: list[str] = []
-    if localize:
-        h = parse_poly(c0.ring, localize)
+    h = parse_poly(c0.ring, localize) if localize else None
+    if h is not None:
         c0 = c0.with_inversion(h, "h")
-        notes.append(
-            f"center chart localized by inverting {h} so the center generators cut only the center point"
-        )
     g1 = parse_poly(c0.ring, center_texts[0])
     g2 = parse_poly(c0.ring, center_texts[1])
     probe = list(c0.full_equations()) + [g1, g2]
@@ -346,10 +344,6 @@ def blow_up(
     # fiber.  The retained center chart re-verifies the center point itself
     # downstairs; that overcount never lowers a verdict.
     retained = tuple(replace(c, provenance="parent") for c in parent.charts)
-    notes.append(
-        "retained parent charts verify the locus where the blow-up is an isomorphism; "
-        "blow-up charts verify the exceptional fiber"
-    )
     return SurfaceModel(
         model_id=model_id,
         ambient=parent.ambient,
@@ -358,7 +352,7 @@ def blow_up(
         charts=(chart_a, chart_b) + retained,
         parent=parent,
         center_degree=degree,
-        notes=tuple(notes),
+        localizer=h,
     )
 
 
@@ -402,49 +396,29 @@ class AmbientReport:
     ok: bool
     strata: tuple[tuple[int, bool], ...] = ()
     coverage: str = "covered"  # "covered" | "asserted" | "uncovered"
-    notes: tuple[str, ...] = ()
 
 
 def ambient_check(model: SurfaceModel, limits: Limits | None = None) -> AmbientReport:
     """Verify the ambient singular strata miss the surface and that weight-1
-    standard charts cover it (extra charts downgrade failure to 'asserted')."""
+    standard charts cover it (extra charts downgrade failure to 'asserted').
+    A blow-up's ambient is its parent's, and so is its report."""
     if model.presentation == "blow_up":
-        parent_report = ambient_check(model.parent, limits)
-        notes = parent_report.notes + (
-            "blow-up center verified zero-dimensional at construction",
-        )
-        return replace(parent_report, notes=notes)
+        return ambient_check(model.parent, limits)
     ambient = model.ambient
     ring = ambient.ring
     if ambient.kind == "multiprojective":
-        return AmbientReport(ok=True, notes=("ambient is smooth; product charts cover",))
-    strata: list[tuple[int, bool]] = []
-    ok = True
-    divisors = sorted({d for w in ring.weights for d in range(2, w + 1) if w % d == 0})
-    for d in divisors:
+        return AmbientReport(ok=True)
+    strata = []
+    # d divides some weight, so kept is never empty
+    for d in sorted({d for w in ring.weights for d in range(2, w + 1) if w % d == 0}):
         kept = [v for v, w in zip(ring.geom, ring.weights) if w % d == 0]
-        killed = [v for v, w in zip(ring.geom, ring.weights) if w % d != 0]
-        if not kept:
-            continue
-        gens = list(model.equations) + [
-            Polynomial.variable(ring, v) for v in killed
-        ]
-        empty = projective_is_empty(gens, kept, limits)
-        strata.append((d, empty))
-        ok = ok and empty
+        killed = [Polynomial.variable(ring, v) for v, w in zip(ring.geom, ring.weights) if w % d != 0]
+        strata.append((d, projective_is_empty(list(model.equations) + killed, kept, limits)))
     coverage = "covered"
-    notes: list[str] = []
     if not ambient.uncharted_empty(model.equations, limits):
-        if any(c.provenance == "extra" for c in model.charts):
-            coverage = "asserted"
-            notes.append(
-                "weight-1 charts do not cover; remaining locus asserted covered by the declared extra charts"
-            )
-        else:
-            coverage = "uncovered"
-            ok = False
-            notes.append("weight-1 charts do not cover and no extra charts are declared")
-    return AmbientReport(ok=ok, strata=tuple(strata), coverage=coverage, notes=tuple(notes))
+        coverage = "asserted" if any(c.provenance == "extra" for c in model.charts) else "uncovered"
+    ok = coverage != "uncovered" and all(empty for _, empty in strata)
+    return AmbientReport(ok=ok, strata=tuple(strata), coverage=coverage)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,9 @@ def test_verify_all_characteristic_filter():
         assert names == [c for c in ALL_CHECKS if c != "extras"]
     with pytest.raises(ValueError):
         verify_all(p=3, threads=2)
+    # a characteristic with nothing to verify is not a pass
+    with pytest.raises(ValueError, match="^no record in characteristic 5$"):
+        verify_all(p=5)
 
 
 def test_out_of_scope_rows_reported_in_char2():
@@ -159,6 +162,33 @@ def test_limit_trip_during_model_build_marks_every_selected_check():
     assert all(c.note.startswith("model build: pair limit") for c in report.checks)
     assert report.status == "inconclusive"
     assert report.expected["row"] == "2-3"
+
+
+def test_model_build_trip_adds_no_blow_up_notes():
+    # the blow-up sentences are read off a built model, so a trip in the
+    # build leaves the record's own notes only
+    report = verify_example("e2-3", None, Limits(max_pairs=1))
+    assert report.notes == [
+        *catalogue._record("e2-3").notes,
+        "rho, h1, normalization and extremal-ray data are expected values, not computed",
+    ]
+    built = verify_example("e2-3", ("k2",))
+    assert any(note.startswith("center chart localized by inverting ") for note in built.notes)
+    assert any(note.startswith("retained parent charts ") for note in built.notes)
+
+
+def test_uncovered_weighted_model_fails_ambient(monkeypatch):
+    # the sextic without its extra chart: the weight-1 charts miss a point
+    # of the surface, and no golden record reaches this sentence
+    text = "\n".join(
+        line for line in catalogue._SEXTIC.format(p=3).splitlines() if not line.startswith("extrachart")
+    )
+    rec = replace(catalogue._record("e1-1-p3"), record_id="uncovered", model_text=text, notes=())
+    monkeypatch.setitem(catalogue._RECORDS, "uncovered", rec)
+    check = verify_example("uncovered", ("ambient",)).check("ambient")
+    assert check.status == "fail"
+    assert check.note == "weight-1 charts do not cover and no extra charts are declared"
+    assert check.computed == {"ok": False, "coverage": "uncovered"}
 
 
 def test_limit_trip_inside_one_check_marks_only_that_check():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from dpv import cli
-from dpv.catalogue import record_ids
+from dpv.catalogue import ALL_CHECKS, record_ids
 from dpv.cli import _limits, build_parser, main
 from dpv.groebner import Limits
 
@@ -19,6 +19,15 @@ def test_limit_pairs_keeps_step_limit_from_env(monkeypatch):
     limits = _limits(args)
     assert limits.max_pairs == 7
     assert limits.max_steps == 12345
+
+
+def test_check_help_names_every_check_once(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse would wrap the list on a narrow terminal
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    listed = capsys.readouterr().out.split("comma-separated subset:", 1)[1].split()[0]
+    assert listed == "ambient,regular,normal,integral,k2,extras"
+    assert cli._parse_checks(listed) == ALL_CHECKS
 
 
 def test_verify_single_record(capsys):

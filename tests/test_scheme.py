@@ -1,6 +1,7 @@
 """Charts, Jacobian criteria, blow-ups, covers, and the model pipeline."""
 
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
@@ -151,6 +152,7 @@ def test_blow_up_point_on_plane():
     plane = build(PLANE, "plane")
     m = blow_up(plane, "D+(z)", ("x", "y"), None, "bl", None)
     assert m.center_degree == 1
+    assert m.localizer is None
     names = [c.name for c in m.charts]
     assert names[0] == "D+(z)|v" and names[1] == "D+(z)|u"
     # the eliminable branch drops the substituted coordinate
@@ -193,6 +195,32 @@ def test_blow_up_is_built_on_its_parents_text():
     assert blown.parent.ambient == parent.ambient
     assert blown.parent.equations == parent.equations
     assert blown.parent.charts == parent.charts
+    # the blow-up keeps the polynomial inverted on its center chart, and its
+    # ambient report is its parent's
+    assert str(blown.localizer) == "(s2^2*t1^2 + s1^2*t2^2)*x1^3 + (s1*s2 + t2^2)*x1 + s2"
+    assert ambient_check(blown) == ambient_check(parent)
+
+
+def test_mutated_model_texts_are_rejected_or_built():
+    # bad input is a ValueError, a resource limit an Inconclusive, and
+    # nothing else escapes parse_model and build_model
+    rng = random.Random(17)
+    texts = [_record(rid).model_text for rid in RECORD_ORDER]
+    alphabet = sorted(set("".join(texts)))
+    outcomes = set()
+    for _ in range(200):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(text) + 1)
+            edit = rng.choice(("delete", "insert", "replace"))
+            new = "" if edit == "delete" else rng.choice(alphabet)
+            text = text[:i] + new + text[i + (edit != "insert") :]
+        try:
+            build_model(parse_model(text), "m", Limits(40, 20000))
+            outcomes.add("built")
+        except (ValueError, Inconclusive) as exc:
+            outcomes.add(type(exc))
+    assert {"built", ValueError} <= outcomes
 
 
 def test_double_cover_charts_and_validation():
