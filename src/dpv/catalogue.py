@@ -1,10 +1,13 @@
 """Example records, expected classification rows, and the verification runner.
 
-Each record carries a model declaration in the small text grammar and the
-expected row data (Picard rank, K^2, h^1, normalization type: the last three
-are expected-only and never claimed as computed); every record stands on
-the same ASSUMPTIONS.  K^2 is computed exactly from the model itself
-(compute_k2).
+RECORDS is the catalogue, one ordered table.  Each record carries a model
+declaration in the small text grammar and the expected row data (Picard
+rank, K^2, h^1, normalization type: the last three are expected-only and
+never claimed as computed); every record stands on the same ASSUMPTIONS.
+Every row expects the same EXPECTED_VERDICTS, the class of surfaces the
+paper classifies, and a row's table number is read off p.  Two records of
+one row cross-check each other's verdicts (extras).  K^2 is computed
+exactly from the model itself (compute_k2).
 
 verify_example runs the chart-by-chart pipeline for one record and diffs the
 results against the expected row; verify_all runs every in-scope record.
@@ -45,7 +48,6 @@ from .scheme import (
 
 @dataclass(frozen=True)
 class ExpectedRow:
-    table: int  # classification table: 1 (p=3) or 2 (p=2)
     row: str
     p: int
     rho: int
@@ -53,10 +55,15 @@ class ExpectedRow:
     h1: int
     normalization: str
     extremal_rays: str | None = None
-    regular: bool = True
-    geom_integral: bool = True
-    geom_normal: bool = False
 
+    @property
+    def table(self) -> int:
+        """The paper's classification table: 1 for p = 3, 2 for p = 2."""
+        return 1 if self.p == 3 else 2
+
+
+# the class of surfaces the paper classifies: every row expects these verdicts
+EXPECTED_VERDICTS = {"regular": True, "geom_integral": True, "geom_normal": False}
 
 # what every record assumes: properness and H0 = k, so regularity implies
 # irreducibility (geom_integral), and Cohen-Macaulay charts, so S2 holds
@@ -68,8 +75,8 @@ class ExampleRecord:
     record_id: str
     expected: ExpectedRow
     model_text: str
-    extras: str | None = None
-    extra_data: tuple = ()
+    # generators of two curves whose disjointness witnesses Picard rank >= 2
+    disjoint_curves: tuple[tuple[str, ...], tuple[str, ...]] | None = None
     notes: tuple[str, ...] = ()
 
 
@@ -78,7 +85,6 @@ class OutOfScopeRow:
     row: str
     expected: ExpectedRow
     reason: str
-    has_example: bool
 
 
 # ---------------------------------------------------------------------------
@@ -158,166 +164,83 @@ blowup chart=D+(y) center z ; w
 """
 
 
-_RECORDS: dict[str, ExampleRecord] = {}
-
-
-def _add(record: ExampleRecord):
-    if record.record_id in _RECORDS:
-        raise ValueError(f"duplicate record id {record.record_id}")
-    _RECORDS[record.record_id] = record
-
-
-_add(
-    ExampleRecord(
-        "e1-1-p3",
-        ExpectedRow(1, "1-1", 3, 1, 1, 0, "P^2"),
-        _SEXTIC.format(p=3),
-        notes=(
-            "the chart U with y and z inverted covers the locus missed by the weight-1 charts",
-        ),
-    )
+_SEXTIC_NOTES = (
+    "the chart U with y and z inverted covers the locus missed by the weight-1 charts",
 )
-_add(
-    ExampleRecord(
-        "e1-1-p2",
-        ExpectedRow(2, "1-1", 2, 1, 1, 0, "P^2"),
-        _SEXTIC.format(p=2),
-        notes=(
-            "the chart U with y and z inverted covers the locus missed by the weight-1 charts",
-        ),
-    )
-)
-_add(
-    ExampleRecord(
-        "e1-2",
-        ExpectedRow(2, "1-2", 2, 1, 2, 0, "P(1,1,2) or P^1 x P^1"),
-        _E1_2,
-    )
-)
-_add(
+
+# the two presentations of row 2-5 verify each other (cross-model extras)
+_ROW_2_5 = ExpectedRow("2-5", 2, 2, 5, 0, "P_{P^1}(O + O(1))", "B+C")
+
+# the catalogue, in report order: table 1 (p = 3), then table 2 (p = 2)
+RECORDS = (
+    ExampleRecord("e1-1-p3", ExpectedRow("1-1", 3, 1, 1, 0, "P^2"), _SEXTIC.format(p=3), notes=_SEXTIC_NOTES),
     ExampleRecord(
         "e1-3",
-        ExpectedRow(1, "1-3", 3, 1, 3, 0, "P(1,1,3)"),
+        ExpectedRow("1-3", 3, 1, 3, 0, "P(1,1,3)"),
         _E1_3,
         notes=(
             "the geometric singular locus is the line x = y with s^(1/3)z + t^(1/3)w = x "
             "over the algebraic closure; the coordinate line x = z = 0 is smooth on D+(w)",
         ),
-    )
-)
-_add(
-    ExampleRecord(
-        "e1-4",
-        ExpectedRow(2, "1-4", 2, 1, 4, 0, "P^2 or P^1 x P^1"),
-        _E1_4,
-    )
-)
-_add(
+    ),
+    ExampleRecord("e1-1-p2", ExpectedRow("1-1", 2, 1, 1, 0, "P^2"), _SEXTIC.format(p=2), notes=_SEXTIC_NOTES),
+    ExampleRecord("e1-2", ExpectedRow("1-2", 2, 1, 2, 0, "P(1,1,2) or P^1 x P^1"), _E1_2),
+    ExampleRecord("e1-4", ExpectedRow("1-4", 2, 1, 4, 0, "P^2 or P^1 x P^1"), _E1_4),
     ExampleRecord(
         "e2-2",
-        ExpectedRow(2, "2-2", 2, 2, 2, 0, "P^1 x P^1", "C+C"),
+        ExpectedRow("2-2", 2, 2, 2, 0, "P^1 x P^1", "C+C"),
         _E2_2,
-        extras="disjoint_curves",
-        extra_data=(
+        disjoint_curves=(
             ("y+s0*x0^2+s1*x1^2+s2*x2^2", "t0*x0^2+t1*x1^2+t2*x2^2"),
             (
                 "y+t0*x0^2+t1*x1^2+t2*x2^2",
                 "y+(s0+u0)*x0^2+(s1+u1)*x1^2+(s2+u2)*x2^2",
             ),
         ),
-    )
-)
-_add(
+    ),
     ExampleRecord(
         "e2-3",
-        ExpectedRow(2, "2-3", 2, 2, 3, 0, "P_{P^1}(O + O(1))", "B+C"),
+        ExpectedRow("2-3", 2, 2, 3, 0, "P_{P^1}(O + O(1))", "B+C"),
         _E2_3,
         notes=(
             "verified through the blow-up presentation; the cubic-hypersurface "
             "description of this row is expected data only",
         ),
-    )
+    ),
+    ExampleRecord("e2-4", ExpectedRow("2-4", 2, 2, 4, 0, "P^1 x P^1", "C+C"), _E2_4),
+    ExampleRecord("e2-5-pencil", _ROW_2_5, _E2_5_PENCIL),
+    ExampleRecord("e2-5-blowup", _ROW_2_5, _E2_5_BLOWUP),
+    ExampleRecord("e2-6", ExpectedRow("2-6", 2, 2, 6, 0, "P_{P^1}(O + O(2))", "B+C"), _E2_6),
 )
-_add(
-    ExampleRecord(
-        "e2-4",
-        ExpectedRow(2, "2-4", 2, 2, 4, 0, "P^1 x P^1", "C+C"),
-        _E2_4,
-    )
-)
-_add(
-    ExampleRecord(
-        "e2-5-pencil",
-        ExpectedRow(2, "2-5", 2, 2, 5, 0, "P_{P^1}(O + O(1))", "B+C"),
-        _E2_5_PENCIL,
-        extras="cross_model",
-        extra_data=("e2-5-blowup",),
-    )
-)
-_add(
-    ExampleRecord(
-        "e2-5-blowup",
-        ExpectedRow(2, "2-5", 2, 2, 5, 0, "P_{P^1}(O + O(1))", "B+C"),
-        _E2_5_BLOWUP,
-        extras="cross_model",
-        extra_data=("e2-5-pencil",),
-    )
-)
-_add(
-    ExampleRecord(
-        "e2-6",
-        ExpectedRow(2, "2-6", 2, 2, 6, 0, "P_{P^1}(O + O(2))", "B+C"),
-        _E2_6,
-    )
-)
-
-RECORD_ORDER = (
-    "e1-1-p3",
-    "e1-3",
-    "e1-1-p2",
-    "e1-2",
-    "e1-4",
-    "e2-2",
-    "e2-3",
-    "e2-4",
-    "e2-5-pencil",
-    "e2-5-blowup",
-    "e2-6",
-)
+_RECORDS = {r.record_id: r for r in RECORDS}
+RECORD_ORDER = tuple(_RECORDS)
 
 OUT_OF_SCOPE = (
     OutOfScopeRow(
         "1-1-i",
-        ExpectedRow(2, "1-1-i", 2, 1, 1, 1, "P^2"),
+        ExpectedRow("1-1-i", 2, 1, 1, 1, "P^2"),
         "irregular surface (h^1 = 1); outside the verification pipeline's assumptions",
-        has_example=True,
     ),
     OutOfScopeRow(
         "1-2-i",
-        ExpectedRow(2, "1-2-i", 2, 1, 2, 1, "P(1,1,2)"),
+        ExpectedRow("1-2-i", 2, 1, 2, 1, "P(1,1,2)"),
         "no known example for this row",
-        has_example=False,
     ),
 )
 
 
-def record_ids() -> tuple[str, ...]:
-    return RECORD_ORDER
-
-
 def coverage_selftest() -> list[str]:
     """Every expected row with an in-scope example must be covered by a
-    record, seen rows must be consistent, and ids must be well-formed."""
+    record, record ids must be distinct, and characteristics 2 or 3."""
     problems = []
-    seen_rows = set()
-    for rid in RECORD_ORDER:
-        rec = _RECORDS.get(rid)
-        if rec is None:
-            problems.append(f"missing record {rid}")
-            continue
-        seen_rows.add((rec.expected.table, rec.expected.row))
+    ids = [rec.record_id for rec in RECORDS]
+    repeated = sorted({rid for rid in ids if ids.count(rid) > 1})
+    if repeated:
+        problems.append(f"repeated record ids: {repeated}")
+    for rec in RECORDS:
         if rec.expected.p not in (2, 3):
-            problems.append(f"{rid}: characteristic {rec.expected.p}")
+            problems.append(f"{rec.record_id}: characteristic {rec.expected.p}")
+    seen_rows = {(rec.expected.table, rec.expected.row) for rec in RECORDS}
     expected_rows = {(1, "1-1"), (1, "1-3"), (2, "1-1"), (2, "1-2"), (2, "1-4"),
                      (2, "2-2"), (2, "2-3"), (2, "2-4"), (2, "2-5"), (2, "2-6")}
     missing = expected_rows - seen_rows
@@ -418,11 +341,7 @@ def _expected_dict(rec: ExampleRecord) -> dict:
         "row": e.row,
         "p": e.p,
         "k2": e.k2,
-        "flags": {
-            "regular": _FLAG[e.regular],
-            "geom_integral": _FLAG[e.geom_integral],
-            "geom_normal": _FLAG[e.geom_normal],
-        },
+        "flags": {name: _FLAG[want] for name, want in EXPECTED_VERDICTS.items()},
         "expected_only": {
             "rho": e.rho,
             "h1": e.h1,
@@ -490,7 +409,8 @@ def verify_example(
     for c in selected:
         if c not in ALL_CHECKS:
             raise ValueError(f"unknown check {c!r}")
-    run = [c for c in ALL_CHECKS if c in selected and (c != "extras" or rec.extras is not None)]
+    has_extras = rec.disjoint_curves is not None or _sibling(rec) is not None
+    run = [c for c in ALL_CHECKS if c in selected and (c != "extras" or has_extras)]
     if not run:
         raise ValueError(f"no selected check applies to {record_id}")
     report = VerificationReport(record_id=record_id, expected=_expected_dict(rec))
@@ -586,8 +506,8 @@ def _check_regular(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResu
     cert = [_chart_certificate(v, details.get(v.value, v.limit), verdict=_FLAG[v.value]) for v in charts]
     return CheckResult(
         "regular",
-        _status(verdict, rec.expected.regular),
-        expected=_FLAG[rec.expected.regular],
+        _status(verdict, EXPECTED_VERDICTS["regular"]),
+        expected=_FLAG[EXPECTED_VERDICTS["regular"]],
         computed=_FLAG[verdict],
         certificate=cert,
         note="; ".join(_undecided(charts)),
@@ -605,8 +525,8 @@ def _check_geom_normal(rec: ExampleRecord, model: SurfaceModel, limits) -> Check
     ]
     return CheckResult(
         "geom_normal",
-        _status(normal, rec.expected.geom_normal),
-        expected=_FLAG[rec.expected.geom_normal],
+        _status(normal, EXPECTED_VERDICTS["geom_normal"]),
+        expected=_FLAG[EXPECTED_VERDICTS["geom_normal"]],
         computed={"geom_normal": None if normal is None else _FLAG[normal], "singular_dimension": dim},
         certificate=cert,
         note="; ".join(_undecided(charts)),
@@ -626,8 +546,8 @@ def _check_geom_integral(rec: ExampleRecord, model: SurfaceModel, limits) -> Che
         witness = {"chart": charts[-1].chart, "minor_index": index, "minor": str(minor)}
     return CheckResult(
         "geom_integral",
-        _status(reduced, rec.expected.geom_integral),
-        expected=_FLAG[rec.expected.geom_integral],
+        _status(reduced, EXPECTED_VERDICTS["geom_integral"]),
+        expected=_FLAG[EXPECTED_VERDICTS["geom_integral"]],
         computed={"geom_integral": _FLAG[reduced], "reduced": reduced, "irreducible": "implied"},
         certificate={"smooth_point_witness": witness},
         note=note,
@@ -645,11 +565,20 @@ def _check_k2(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:
     )
 
 
+def _sibling(rec: ExampleRecord) -> str | None:
+    """The other record of rec's row, if any: two presentations of one row
+    must reach the same verdicts (cross-model extras)."""
+    row = (rec.expected.p, rec.expected.row)
+    others = (r.record_id for r in RECORDS if (r.expected.p, r.expected.row) == row)
+    return next((rid for rid in others if rid != rec.record_id), None)
+
+
 def _run_extras(rec: ExampleRecord, model: SurfaceModel, limits, done) -> CheckResult:
-    """Record-specific certificates; done holds the checks already run for
-    this record, whose verdicts a cross-model check reuses."""
-    if rec.extras == "disjoint_curves":
-        a_texts, b_texts = rec.extra_data
+    """The disjoint-curves certificate when the record declares curves,
+    otherwise agreement with its row's sibling; done holds the checks
+    already run for this record, whose verdicts a cross-model check reuses."""
+    if rec.disjoint_curves is not None:
+        a_texts, b_texts = rec.disjoint_curves
         a_gens = [parse_poly(model.ring, t) for t in a_texts]
         b_gens = [parse_poly(model.ring, t) for t in b_texts]
         disjoint, charts = subschemes_disjoint(model, a_gens, b_gens, limits)
@@ -666,23 +595,20 @@ def _run_extras(rec: ExampleRecord, model: SurfaceModel, limits, done) -> CheckR
             certificate={"kind": "disjointness", "charts": [[v.chart, unit[v.value]] for v in charts]},
             note="two disjoint curves witness Picard rank >= 2",
         )
-    if rec.extras == "cross_model":
-        (sibling_id,) = rec.extra_data
-        if {c.name for c in done} >= set(VERDICT_CHECKS):
-            mine = _verdicts(rec.record_id, done)
-        else:
-            mine = verdict_tuple(rec.record_id, limits)
-        theirs = verdict_tuple(sibling_id, limits)
-        status = "pass" if mine == theirs else "fail"
-        return CheckResult(
-            "extras",
-            status,
-            expected={"agrees_with": sibling_id},
-            computed={"this": list(mine), "sibling": list(theirs)},
-            certificate={"kind": "cross_model", "tuple_fields": list(VERDICT_CHECKS)},
-            note="independent presentations of the same row must agree",
-        )
-    raise ValueError(f"unknown extras {rec.extras!r}")
+    sibling_id = _sibling(rec)
+    if {c.name for c in done} >= set(VERDICT_CHECKS):
+        mine = _verdicts(rec.record_id, done)
+    else:
+        mine = verdict_tuple(rec.record_id, limits)
+    theirs = verdict_tuple(sibling_id, limits)
+    return CheckResult(
+        "extras",
+        "pass" if mine == theirs else "fail",
+        expected={"agrees_with": sibling_id},
+        computed={"this": list(mine), "sibling": list(theirs)},
+        certificate={"kind": "cross_model", "tuple_fields": list(VERDICT_CHECKS)},
+        note="independent presentations of the same row must agree",
+    )
 
 
 def verdict_tuple(record_id: str, limits: Limits | None = None):
@@ -744,7 +670,7 @@ def verify_all(
     problems = coverage_selftest()
     if problems:
         raise RuntimeError("catalogue self-test failed: " + "; ".join(problems))
-    ids = [rid for rid in RECORD_ORDER if p in (None, _RECORDS[rid].expected.p)]
+    ids = [rec.record_id for rec in RECORDS if p in (None, rec.expected.p)]
     skipped = [(row.row, row.reason) for row in OUT_OF_SCOPE if p in (None, row.expected.p)]
     if not ids and not skipped:  # nothing verified is not a pass
         raise ValueError(f"no record in characteristic {p}")

@@ -43,6 +43,11 @@ def work_done() -> int:
     return _WORK.n
 
 
+# characteristics at or above this are rejected before the trial-division
+# prime test, which would otherwise run for ~sqrt(p) steps
+MAX_CHARACTERISTIC = 2**31
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -736,6 +741,8 @@ class RingContext:
     domain: FpDomain | FractionDomain = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.p >= MAX_CHARACTERISTIC:
+            raise ValueError(f"characteristic {self.p} is too large (must be below 2^31)")
         if not is_prime(self.p):
             raise ValueError(f"characteristic {self.p} is not prime")
         names = self.geom + self.params

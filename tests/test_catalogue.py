@@ -12,7 +12,6 @@ from dpv.catalogue import (
     compute_k2,
     coverage_selftest,
     load_example,
-    record_ids,
     verify_all,
     verify_example,
 )
@@ -27,11 +26,45 @@ def test_selftest_clean():
 
 
 def test_record_inventory():
-    ids = record_ids()
-    assert ids == RECORD_ORDER
+    ids = RECORD_ORDER
     assert len(ids) == 11
     assert len(set(ids)) == 11
     assert {r.row for r in OUT_OF_SCOPE} == {"1-1-i", "1-2-i"}
+
+
+def test_selftest_reports_a_repeated_record_id(monkeypatch):
+    monkeypatch.setattr(catalogue, "RECORDS", catalogue.RECORDS + catalogue.RECORDS[4:5])
+    assert coverage_selftest() == ["repeated record ids: ['e1-4']"]
+
+
+def test_table_is_read_off_the_characteristic():
+    rows = [rec.expected for rec in catalogue.RECORDS] + [row.expected for row in OUT_OF_SCOPE]
+    assert {(e.p, e.table) for e in rows} == {(3, 1), (2, 2)}
+    assert [e.table for e in rows] == [1, 1] + [2] * 11
+
+
+def test_extras_run_on_declared_curves_and_on_row_siblings(monkeypatch):
+    # e2-2 declares two disjoint curves, and the two records of row 2-5
+    # are each other's cross-model sibling; no other record has extras
+    siblings = {rid: catalogue._sibling(catalogue._record(rid)) for rid in RECORD_ORDER}
+    assert {rid: s for rid, s in siblings.items() if s} == {
+        "e2-5-pencil": "e2-5-blowup",
+        "e2-5-blowup": "e2-5-pencil",
+    }
+    assert [rid for rid in RECORD_ORDER if catalogue._record(rid).disjoint_curves] == ["e2-2"]
+    ran = []
+
+    def stub(rec, model, limits, done):
+        ran.append(rec.record_id)
+        return catalogue.CheckResult("extras", "pass")
+
+    monkeypatch.setattr(catalogue, "_run_extras", stub)
+    for rid in RECORD_ORDER:
+        try:
+            verify_example(rid, ("extras",))
+        except ValueError as exc:
+            assert str(exc) == f"no selected check applies to {rid}"
+    assert ran == ["e2-2", "e2-5-pencil", "e2-5-blowup"]
 
 
 def test_load_example_rejects_unknowns():

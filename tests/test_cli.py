@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from dpv import cli
-from dpv.catalogue import ALL_CHECKS, record_ids
+from dpv.catalogue import ALL_CHECKS, RECORD_ORDER
 from dpv.cli import _limits, build_parser, main
 from dpv.groebner import Limits
 
@@ -192,6 +192,8 @@ def test_groebner_exact_output_over_f7(tmp_path, capsys, order, want):
     ("ring p=4 geom x y", ["x"], "ring", "characteristic 4 is not prime"),
     ("ring p=3 geom x y", ["x^2+y$"], "ideal", "bad character in expression: '$'"),
     ("ring p=3 geom x y", ["x/0"], "ideal", "cannot divide by 0"),
+    ("ring p=2305843009213693951 geom x y", ["x"], "ring",
+     "characteristic 2305843009213693951 is too large (must be below 2^31)"),
 ])
 def test_groebner_rejects_bad_input_in_one_line(tmp_path, capsys, ring_line, polys, bad, reason):
     ring, ideal = _write_ideal(tmp_path, ring_line or "ring p=3 geom x y", polys or ["x"])
@@ -240,7 +242,7 @@ def test_limits_from_env_and_limit_pairs(monkeypatch):
     assert _limits(args) == Limits(max_pairs=3, max_steps=900)
 
 
-@pytest.mark.parametrize("record_id", record_ids())
+@pytest.mark.parametrize("record_id", RECORD_ORDER)
 def test_verify_under_tiny_pair_limit_never_raises(record_id, capsys):
     # a limit trip anywhere (model build, integrality, extras) is an
     # inconclusive check and exit code 2, never a traceback

@@ -17,11 +17,13 @@ def test_ring_declaration():
     default = parse_ring("ring p=2 geom x y")
     assert default.weights == (1, 1)
     assert default.params == ()
+    assert parse_ring(f"ring p={2**31 - 1} geom x").p == 2**31 - 1  # the largest prime below 2^31
 
 
 @pytest.mark.parametrize(
     "text",
-    ["geom x", "ring geom x", "ring p=6 geom x", "ring p=3 bogus x"],
+    # 2^61 - 1 is prime, but rejected before a trial division that would not finish
+    ["geom x", "ring geom x", "ring p=6 geom x", "ring p=3 bogus x", "ring p=2305843009213693951 geom x"],
 )
 def test_ring_declaration_rejects(text):
     with pytest.raises(ValueError):

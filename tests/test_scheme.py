@@ -10,7 +10,7 @@ from dpv import groebner, scheme
 from dpv.catalogue import RECORD_ORDER, _record, load_example, verify_example
 from dpv.groebner import Inconclusive, Limits, buchberger, dimension, is_unit_ideal
 from dpv.orders import grevlex
-from dpv.parsing import parse_model, parse_poly, parse_ring
+from dpv.parsing import parse_ideal_lines, parse_model, parse_poly, parse_ring
 from dpv.poly import Polynomial
 from dpv.ring import work_done
 from dpv.scheme import (
@@ -221,6 +221,41 @@ def test_mutated_model_texts_are_rejected_or_built():
         except (ValueError, Inconclusive) as exc:
             outcomes.add(type(exc))
     assert {"built", ValueError} <= outcomes
+
+
+# ring/ideal pairs for the mutation test; no parenthesised powers, since a
+# mutated exponent on a sum is valid input, only an expensive one
+RING_IDEAL_TEXTS = (
+    ("ring p=3 geom x y z params s", "x^2+s*y*z\ny^2-x*z\nz^2+s*x"),
+    ("ring p=2 geom x y params s t", "x^2+s*y^2\nx*y+t*y+s"),
+    ("ring p=7 geom x y z", "3*x^2+y*z+5*x\nx*y+4*z^2+6\n2*y^2+x*z+3*z"),
+)
+
+
+def test_mutated_ring_and_ideal_texts_are_rejected_or_solved():
+    # the same contract for the dpv groebner inputs: parse_ring,
+    # parse_ideal_lines and buchberger let only ValueError and Inconclusive
+    # escape; each case edits either the ring line or the ideal text
+    rng = random.Random(17)
+    alphabet = sorted(set("".join(ring + ideal for ring, ideal in RING_IDEAL_TEXTS)))
+    outcomes = set()
+    for _ in range(500):
+        texts = list(rng.choice(RING_IDEAL_TEXTS))
+        side = rng.randrange(2)
+        text = texts[side]
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(text) + 1)
+            edit = rng.choice(("delete", "insert", "replace"))
+            new = "" if edit == "delete" else rng.choice(alphabet)
+            text = text[:i] + new + text[i + (edit != "insert") :]
+        texts[side] = text
+        try:
+            ring = parse_ring(texts[0])
+            buchberger(parse_ideal_lines(ring, texts[1]), grevlex(ring.ngeom), Limits(40, 20000))
+            outcomes.add("solved")
+        except (ValueError, Inconclusive) as exc:
+            outcomes.add(type(exc))
+    assert {"solved", ValueError} <= outcomes
 
 
 def test_double_cover_charts_and_validation():
@@ -549,7 +584,7 @@ def test_subschemes_disjoint_two_factor_product(monkeypatch):
 
 def test_subschemes_disjoint_inconclusive_chart(monkeypatch):
     _, m = load_example("e2-2")
-    a_texts, b_texts = _record("e2-2").extra_data
+    a_texts, b_texts = _record("e2-2").disjoint_curves
     a_gens = [parse_poly(m.ring, t) for t in a_texts]
     b_gens = [parse_poly(m.ring, t) for t in b_texts]
     real = scheme.is_unit_ideal
