@@ -255,7 +255,11 @@ def buchberger(
 def _interreduce(
     G: list[Polynomial], order: MonomialOrder, budget: Budget | None = None
 ) -> list[Polynomial]:
-    pairs = sorted(((g.lead(order)[0], g) for g in G), key=lambda t: order.key(t[0]))
+    # ascending in the order; a reverse sort stays stable, so equal leads
+    # keep their order in G
+    pairs = sorted(
+        ((g.lead(order)[0], g) for g in G), key=lambda t: order.rkey(t[0]), reverse=True
+    )
     kept: list[tuple[tuple, Polynomial]] = []
     for lm, g in pairs:
         if any(monomial_divides(klm, lm) for klm, _ in kept):
@@ -267,7 +271,7 @@ def _interreduce(
         others = polys[:idx] + polys[idx + 1 :]
         h = reduce(g, others, order, budget) if others else g
         reduced.append(make_monic(h, order))
-    reduced.sort(key=lambda f: order.key(f.lead(order)[0]), reverse=True)
+    reduced.sort(key=lambda f: order.rkey(f.lead(order)[0]))
     return reduced
 
 

@@ -2,6 +2,9 @@
 
 grevlex is the default everywhere; lex and block elimination orders exist
 only because variable elimination needs them.
+
+Each order has one sort key, MonomialOrder.rkey, and it sorts the largest
+monomial first.
 """
 
 from __future__ import annotations
@@ -11,12 +14,9 @@ from functools import cached_property
 from operator import neg
 
 
-def grevlex_key(e):
-    return (sum(e), tuple(map(neg, reversed(e))))
-
-
 def grevlex_rkey(e):
-    """A key whose ascending order is grevlex_key's descending order."""
+    """grevlex's key: ascending rkey is descending grevlex (higher degree
+    first, then the smaller last exponent)."""
     return (-sum(e), e[::-1])
 
 
@@ -32,17 +32,10 @@ class MonomialOrder:
         if self.kind == "elim" and not self.block:
             raise ValueError("elimination order needs a dominant block")
 
-    def key(self, e):
-        if self.kind == "grevlex":
-            return grevlex_key(e)
-        if self.kind == "lex":
-            return tuple(e)
-        eb, rest = self._split(e)
-        return (grevlex_key(eb), grevlex_key(rest))
-
     def rkey(self, e):
-        """A key whose ascending order is key's descending order, so a
-        min-heap of rkeys pops the largest monomial first."""
+        """The order's only key: ascending rkey is descending in the order,
+        so min(terms, key=rkey) is the leading monomial and a min-heap of
+        rkeys pops the largest monomial first."""
         if self.kind == "grevlex":
             return grevlex_rkey(e)
         if self.kind == "lex":

@@ -126,6 +126,14 @@ class _ExprParser:
         raise ValueError(f"unknown variable {t!r}")
 
 
+def _integer(word: str, what: str) -> int:
+    """int(word), or a ValueError that names the field (what) and word."""
+    try:
+        return int(word)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {word!r}") from None
+
+
 def parse_poly(ring: RingContext, text: str) -> Polynomial:
     return _ExprParser(ring, tokenize(text)).parse()
 
@@ -136,7 +144,7 @@ def parse_ring(line: str) -> RingContext:
         raise ValueError("ring declaration must start with 'ring'")
     if len(words) < 2 or not words[1].startswith("p="):
         raise ValueError("ring declaration needs p=<prime>")
-    p = int(words[1][2:])
+    p = _integer(words[1][2:], "p")
     geom: list[str] = []
     weights: list[int] = []
     params: list[str] = []
@@ -150,7 +158,7 @@ def parse_ring(line: str) -> RingContext:
             if ":" in w:
                 name, wt = w.split(":", 1)
                 geom.append(name)
-                weights.append(int(wt))
+                weights.append(_integer(wt, f"the weight of {name}"))
             else:
                 geom.append(w)
                 weights.append(1)
@@ -232,7 +240,7 @@ def parse_model(text: str) -> ModelDecl:
         if head == "ambient":
             kind, *dims = rest.split() or [None]
             decl.ambient = kind
-            decl.factors = tuple(int(w) for w in dims)
+            decl.factors = tuple(_integer(w, "a factor dimension") for w in dims)
             if kind == "multiproj":
                 if not decl.factors or min(decl.factors) < 0 or sum(d + 1 for d in decl.factors) != ring.ngeom:
                     raise ValueError("factor dimensions do not match the ring")
@@ -309,7 +317,7 @@ def _parse_doublecover(decl: ModelDecl, ring: RingContext, rest: str) -> None:
     words = rest.split()
     if len(words) < 5 or words[0] != "bidegree" or words[3] != "section":
         raise ValueError("doublecover takes 'bidegree B1 B2 section EXPR'")
-    b1, b2 = int(words[1]), int(words[2])
+    b1, b2 = (_integer(w, "a bidegree") for w in words[1:3])
     sec = rest.split("section", 1)[1].strip()
     decl.cover_bidegree = (b1, b2)
     decl.cover_section = parse_poly(ring, sec)

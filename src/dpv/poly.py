@@ -11,7 +11,7 @@ mod-p arithmetic.
 
 from __future__ import annotations
 
-from .orders import grevlex_key
+from .orders import grevlex_rkey
 from .ring import Coefficient, RingContext
 
 class Polynomial:
@@ -69,7 +69,7 @@ class Polynomial:
         never change after construction, so the last order's answer is kept."""
         cached = self._lead
         if cached is None or cached[0] is not order:
-            e = max(self.terms, key=order.key)
+            e = min(self.terms, key=order.rkey)
             cached = self._lead = (order, e, self.terms[e])
         return cached[1], cached[2]
 
@@ -117,6 +117,8 @@ class Polynomial:
 
     def __rsub__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return other + (-self)
 
     def __mul__(self, other):
@@ -181,13 +183,9 @@ class Polynomial:
                 v = dom.mul(c, dom.const(k))
                 if dom.is_zero(v):
                     continue
-                ne = e[:i] + (k - 1,) + e[i + 1 :]
-                old = out.get(ne)
-                v = v if old is None else dom.add(old, v)
-                if dom.is_zero(v):
-                    out.pop(ne, None)
-                else:
-                    out[ne] = v
+                # lowering slot i is injective on terms with e[i] > 0: no
+                # two terms meet, so nothing merges
+                out[e[:i] + (k - 1,) + e[i + 1 :]] = v
             return Polynomial(ring, out)
         j = ring.param_index(name)
         out = {}
@@ -197,26 +195,22 @@ class Polynomial:
                 out[e] = v
         return Polynomial(ring, out)
 
-    def pth_root(self) -> "Polynomial":
-        """Inverse Frobenius; requires every geometric exponent divisible by p
-        and every coefficient a p-th power in F_p(params)."""
+    def pth_root(self) -> "Polynomial | None":
+        """Inverse Frobenius: the r with r^p == f, or None when f is not a
+        p-th power (a geometric exponent not divisible by p, or a
+        coefficient that is no p-th power in F_p(params))."""
         ring = self.ring
         p = ring.p
         root = ring.domain.pth_root
         out: dict = {}
         for e, c in self.terms.items():
             if any(x % p for x in e):
-                raise ArithmeticError("geometric exponents not divisible by p")
-            out[tuple(x // p for x in e)] = root(c)
+                return None
+            r = root(c)
+            if r is None:
+                return None
+            out[tuple(x // p for x in e)] = r
         return Polynomial(ring, out)
-
-    def is_pth_power(self) -> bool:
-        p = self.ring.p
-        is_power = self.ring.domain.is_pth_power
-        return all(
-            all(x % p == 0 for x in e) and is_power(c)
-            for e, c in self.terms.items()
-        )
 
     # -- substitution ----------------------------------------------------------
 
@@ -325,7 +319,7 @@ class Polynomial:
         names = self.ring.params
         dom = self.ring.domain
         parts = []
-        for e in sorted(self.terms, key=grevlex_key, reverse=True):
+        for e in sorted(self.terms, key=grevlex_rkey):
             c = self.terms[e]
             mono = []
             for i, x in enumerate(e):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from operator import add, ge, methodcaller, sub
 
-from .orders import grevlex_key, grevlex_rkey
+from .orders import grevlex_rkey
 
 
 class _Work(threading.local):
@@ -79,7 +79,7 @@ def pp_is_const(a: PP) -> bool:
 
 def pp_lead(a: PP):
     """Leading (exponents, coefficient) under grevlex on the parameters."""
-    e = max(a, key=grevlex_key)
+    e = min(a, key=grevlex_rkey)
     return e, a[e]
 
 
@@ -198,24 +198,21 @@ def pp_diff(a: PP, i: int, p: int) -> PP:
             continue
         v = (c * e[i]) % p
         if v:
-            ne = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            nv = (out.get(ne, 0) + v) % p
-            if nv:
-                out[ne] = nv
-            else:
-                out.pop(ne, None)
+            # lowering slot i is injective on terms with e[i] > 0: no two
+            # terms meet, so nothing merges
+            out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = v
     return out
 
 
-def pp_is_pth_power(a: PP, p: int) -> bool:
-    return all(all(x % p == 0 for x in e) for e in a)
-
-
-def pp_pth_root(a: PP, p: int) -> PP:
-    """p-th root; valid since c^p = c for c in F_p.  Raises if not a power."""
-    if not pp_is_pth_power(a, p):
-        raise ArithmeticError("not a p-th power")
-    return {tuple(x // p for x in e): c for e, c in a.items()}
+def pp_pth_root(a: PP, p: int) -> PP | None:
+    """The r with r^p == a, or None when some exponent is not divisible by
+    p.  Coefficients pass unchanged, since c^p = c for c in F_p."""
+    out: PP = {}
+    for e, c in a.items():
+        if any(x % p for x in e):
+            return None
+        out[tuple(x // p for x in e)] = c
+    return out
 
 
 def _support_vars(a: PP, b: PP):
@@ -239,14 +236,13 @@ def _to_univar(a: PP, i: int):
     return out
 
 
-def _from_univar(u: dict[int, PP], i: int, p: int) -> PP:
+def _from_univar(u: dict[int, PP], i: int) -> PP:
     out: PP = {}
     for d, coeff in u.items():
         for e, c in coeff.items():
-            ne = e[:i] + (d,) + e[i + 1 :]
-            v = (out.get(ne, 0) + c) % p
-            if v:
-                out[ne] = v
+            # slot i of every e is 0 (see _to_univar), so each (d, e) writes
+            # its own monomial
+            out[e[:i] + (d,) + e[i + 1 :]] = c
     return out
 
 
@@ -362,7 +358,7 @@ def pp_gcd(a: PP, b: PP, p: int) -> PP:
         r = _uv_prem(pa, pb, p)
         r, _ = _uv_primitive(r, p)
         pa, pb = pb, r
-    gp = _from_univar(g, main, p)
+    gp = _from_univar(g, main)
     return pp_monic(pp_mul(cont, gp, p), p)
 
 
@@ -490,14 +486,16 @@ class Coefficient:
         den = pp_mul(self.den, self.den, p)
         return Coefficient(p, num, den)
 
-    def pth_root(self) -> "Coefficient":
+    def pth_root(self) -> "Coefficient | None":
+        """The r with r^p == self, or None when self is not a p-th power.
+        A canonical fraction is a p-th power iff its numerator and
+        denominator are; their roots stay coprime, and the root of a monic
+        denominator is monic."""
         p = self.p
-        return Coefficient(
-            p, pp_pth_root(self.num, p), pp_pth_root(self.den, p), reduced=True
-        )
-
-    def is_pth_power(self) -> bool:
-        return pp_is_pth_power(self.num, self.p) and pp_is_pth_power(self.den, self.p)
+        num, den = pp_pth_root(self.num, p), pp_pth_root(self.den, p)
+        if num is None or den is None:
+            return None
+        return Coefficient(p, num, den, reduced=True)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -574,7 +572,7 @@ def format_pp(a: PP, names) -> str:
     if not a:
         return "0"
     parts = []
-    for e in sorted(a, key=grevlex_key, reverse=True):
+    for e in sorted(a, key=grevlex_rkey):
         c = a[e]
         factors = []
         if c != 1 or not any(e):
@@ -658,10 +656,6 @@ class FpDomain:
     def clear_denominators(terms: dict) -> dict:
         return terms  # ints mod p have no denominators
 
-    @staticmethod
-    def is_pth_power(a: int) -> bool:
-        return True
-
 
 class FractionDomain:
     """F_p(params) as Coefficient fractions: the coefficients of a ring with
@@ -680,7 +674,6 @@ class FractionDomain:
     is_zero = staticmethod(methodcaller("is_zero"))
     is_one = staticmethod(methodcaller("is_one"))
     pth_root = staticmethod(methodcaller("pth_root"))
-    is_pth_power = staticmethod(methodcaller("is_pth_power"))
 
     def __init__(self, p: int, nparams: int):
         self.p = p

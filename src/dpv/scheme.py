@@ -510,10 +510,8 @@ def pth_root_closure(gens: list[Polynomial], limits: Limits | None = None) -> li
     while True:
         fresh = []
         for g in basis:
-            if not g.is_pth_power():
-                continue
             r = g.pth_root()
-            if not normal_form(r, basis, order).is_zero():
+            if r is not None and not normal_form(r, basis, order).is_zero():
                 fresh.append(r)
         if not fresh:
             return basis

@@ -194,6 +194,7 @@ def test_groebner_exact_output_over_f7(tmp_path, capsys, order, want):
     ("ring p=3 geom x y", ["x/0"], "ideal", "cannot divide by 0"),
     ("ring p=2305843009213693951 geom x y", ["x"], "ring",
      "characteristic 2305843009213693951 is too large (must be below 2^31)"),
+    ("ring p=3 geom x:a y", ["x"], "ring", "the weight of x must be an integer, got 'a'"),
 ])
 def test_groebner_rejects_bad_input_in_one_line(tmp_path, capsys, ring_line, polys, bad, reason):
     ring, ideal = _write_ideal(tmp_path, ring_line or "ring p=3 geom x y", polys or ["x"])

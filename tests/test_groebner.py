@@ -167,11 +167,27 @@ def test_reduce_leaves_no_divisible_terms():
     G = buchberger(P(ring, "x^2+y", "y^2+3"))
     f = parse_poly(ring, "x^4*y+x^2+y^3+2")
     r = reduce(f, G, order)
-    leads = [max(g.terms, key=order.key) for g in G]
+    leads = [max(g.terms, key=lambda e: textbook_key(order, e)) for g in G]
     for e in r.terms:
         assert not any(monomial_divides(lm, e) for lm in leads)
     # idempotent
     assert reduce(r, G, order) == r
+
+
+def test_reduce_under_limits_and_zero_edge_cases():
+    ring = parse_ring("ring p=5 geom x y")
+    order = grevlex(2)
+    G = buchberger(P(ring, "x^2+y", "y^2+3"))
+    f = parse_poly(ring, "x^4*y+x^2+y^3+2")
+    # Limits put one work budget on the single reduction
+    with pytest.raises(Inconclusive, match="work budget exceeded"):
+        reduce(f, G, order, Limits(max_steps=1))
+    assert reduce(f, G, order, Limits()) == reduce(f, G, order)
+    # 0 lies in every radical; an ideal with only zero generators
+    # saturates to the zero ideal
+    zero = Polynomial.zero(ring)
+    assert radical_membership(zero, P(ring, "x+1"))
+    assert saturate([zero, zero], parse_poly(ring, "x")) == []
 
 
 def test_elimination_order_projects_ideals():
@@ -188,6 +204,22 @@ def test_elimination_order_projects_ideals():
 # -- heap division against the reference max-scan division -------------------
 
 
+def _grevlex_key(e):
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def textbook_key(order, e):
+    """The textbook ascending key of order: a larger monomial has a larger
+    key.  The reference for order.rkey, which sorts the other way."""
+    if order.kind == "grevlex":
+        return _grevlex_key(e)
+    if order.kind == "lex":
+        return tuple(e)
+    block = tuple(e[i] for i in order.block)
+    rest = tuple(e[i] for i in range(order.n) if i not in order.block)
+    return (_grevlex_key(block), _grevlex_key(rest))
+
+
 def reference_reduce(f, basis, order):
     """Full normal form by the textbook loop: scan the live terms for the
     largest, divide by the first basis element whose lead divides it.  The
@@ -197,12 +229,12 @@ def reference_reduce(f, basis, order):
     data = []
     for g in basis:
         if not g.is_zero():
-            lm = max(g.terms, key=order.key)
+            lm = max(g.terms, key=lambda e: textbook_key(order, e))
             data.append((lm, g.terms[lm], g))
     work = dict(f.terms)
     remainder = {}
     while work:
-        e = max(work, key=order.key)
+        e = max(work, key=lambda e: textbook_key(order, e))
         c = work.pop(e)
         hit = next((d for d in data if monomial_divides(d[0], e)), None)
         if hit is None:
@@ -250,7 +282,10 @@ def test_heap_reduce_matches_reference(p, nparams, seed, nvars):
 @settings(deadline=None, max_examples=100)
 def test_rkey_ascending_is_key_descending(exps):
     for order in _orders(4):
-        assert sorted(exps, key=order.rkey) == sorted(exps, key=order.key, reverse=True)
+        want = sorted(exps, key=lambda e: textbook_key(order, e), reverse=True)
+        assert sorted(exps, key=order.rkey) == want
+        if exps:
+            assert min(exps, key=order.rkey) == want[0]
 
 
 # -- exact work units: budgets keep meaning "term products" ------------------

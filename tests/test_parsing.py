@@ -23,7 +23,9 @@ def test_ring_declaration():
 @pytest.mark.parametrize(
     "text",
     # 2^61 - 1 is prime, but rejected before a trial division that would not finish
-    ["geom x", "ring geom x", "ring p=6 geom x", "ring p=3 bogus x", "ring p=2305843009213693951 geom x"],
+    ["geom x", "ring geom x", "ring p=6 geom x", "ring p=3 bogus x", "ring p=2305843009213693951 geom x",
+     # malformed numbers: a missing p, a missing weight, a weight that is a name
+     "ring p= geom x", "ring p=3 geom x:", "ring p=3 geom x:a"],
 )
 def test_ring_declaration_rejects(text):
     with pytest.raises(ValueError):
@@ -182,6 +184,10 @@ def test_model_rejects_garbage():
         (cover + "extrachart name=U coords a b eq a^2+b", "doublecover takes no"),
         (cover + "doublecover bidegree 1 1 section y^2*v^2", "one 'doublecover'"),
         (quadric + "extrachart name=A name=B coords a b eq a^2+b", "one name="),
+        # a malformed number names its field and its token
+        ("ring p=2 geom x y u v\nambient multiproj 1 a", "a factor dimension must be an integer, got 'a'"),
+        ("ring p=2 geom x y u v\nambient multiproj 1 1\ndoublecover bidegree 1 b section x",
+         "a bidegree must be an integer, got 'b'"),
     ]:
         with pytest.raises(ValueError, match=reason):
             parse_model(text)

@@ -101,9 +101,33 @@ def test_pp_gcd_divides(a, b, c):
 @given(a=pps(2, maxdeg=2))
 @settings(deadline=None, max_examples=100)
 def test_pp_pth_root_roundtrip(a):
-    sq = pp_mul(a, a, 2)
-    if sq:
-        assert pp_pth_root(sq, 2) == a or pp_mul(pp_pth_root(sq, 2), pp_pth_root(sq, 2), 2) == sq
+    # over F_2 squaring only doubles the exponents, so the root is a itself
+    assert pp_pth_root(pp_mul(a, a, 2), 2) == a
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@given(data=st.data())
+@settings(deadline=None, max_examples=60)
+def test_coefficient_pth_root_roundtrip(p, data):
+    a = data.draw(coeffs(p, nparams=1))
+    power = a
+    for _ in range(p - 1):
+        power = power * a
+    # Frobenius is injective, so the root of a^p is a itself
+    assert power.pth_root() == a
+
+
+def test_pth_root_is_none_off_the_pth_powers():
+    assert pp_pth_root({(2, 1): 1, (0, 0): 1}, 2) is None
+    assert pp_pth_root({(3, 0): 2, (0, 6): 1}, 3) == {(1, 0): 2, (0, 2): 1}
+    s = Coefficient.from_param(0, 2, 1)
+    one = Coefficient.from_const(1, 2, 1)
+    assert s.pth_root() is None
+    assert FractionDomain(2, 1).pth_root(s) is None
+    # a fraction is a square only when its numerator and denominator are
+    assert (one / s).pth_root() is None
+    assert ((one + s) / (s * s)).pth_root() is None
+    assert ((one + s * s) / (s * s)).pth_root() == (one + s) / s
 
 
 @given(a=pps(3), b=pps(3))
