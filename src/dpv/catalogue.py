@@ -357,7 +357,7 @@ def compute_k2(model: SurfaceModel) -> tuple[int, dict]:
     from the ring weights and the equation degrees, adjunction for a
     hypersurface in a product of projective spaces, the cover formula from
     the branch section's degree, and the drop by the center's degree for a
-    blow-up."""
+    blow-up.  Raises ValueError when the formula gives no integer."""
     ambient = model.ambient
     if model.presentation == "blow_up":
         parent_val, parent_cert = compute_k2(model.parent)
@@ -370,10 +370,11 @@ def compute_k2(model: SurfaceModel) -> tuple[int, dict]:
         }
     degrees = [ambient.degree(f) for f in model.equations]
     factors = list(ambient.factors)
-    if model.presentation == "hypersurfaces" and ambient.kind == "weighted_projective":
+    if model.presentation == "hypersurfaces" and not factors:
         w, d = list(model.ring.weights), [deg for (deg,) in degrees]
         val = k2_weighted_ci(w, d)
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise ValueError(f"weighted complete-intersection K^2 = {val} is not an integer")
         return int(val), {"method": "weighted_ci", "weights": w, "degrees": d}
     if model.presentation == "hypersurfaces":
         (multidegree,) = degrees
@@ -467,7 +468,7 @@ _COVERAGE_NOTES = {
 def _check_ambient(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:
     amb = ambient_check(model, limits)  # a blow-up's is its parent's
     notes = []
-    if model.ambient.kind == "multiprojective":
+    if model.ambient.factors:
         notes.append("ambient is smooth; product charts cover")
     if amb.coverage in _COVERAGE_NOTES:
         notes.append(_COVERAGE_NOTES[amb.coverage])

@@ -25,9 +25,19 @@ from . import lattice
 from .catalogue import ALL_CHECKS, OUT_OF_SCOPE, verify_all, verify_example
 from .groebner import Inconclusive, Limits, buchberger
 from .orders import grevlex, lex
-from .parsing import parse_ideal_lines, parse_ring
+from .parsing import _integer, parse_ideal_lines, parse_ring
 
 _CHECK_ALIASES = {"normal": "geom_normal", "integral": "geom_integral"}
+
+
+class _Rejected(Exception):
+    """A malformed command line: one stderr line and exit code 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse's own exit code 2 would read as inconclusive; subparsers share the class
+    def error(self, message):
+        raise _Rejected(f"{self.prog}: {message}")
 
 
 def _parse_checks(raw: str) -> tuple[str, ...]:
@@ -38,7 +48,7 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
             continue
         name = _CHECK_ALIASES.get(name, name)
         if name not in ALL_CHECKS:
-            raise SystemExit(f"unknown check {name!r}; choose from {', '.join(ALL_CHECKS)}")
+            raise argparse.ArgumentTypeError(f"unknown check {name!r}; choose from {', '.join(ALL_CHECKS)}")
         out.append(name)
     return tuple(out)
 
@@ -67,7 +77,6 @@ def _print_report(report, timings: bool):
 
 
 def _cmd_verify(args) -> int:
-    checks = None if args.check is None else _parse_checks(args.check)
     target = Path(args.json) if args.json else None
     if target is not None:
         try:  # an unusable --json path is rejected input, before any work
@@ -77,7 +86,7 @@ def _cmd_verify(args) -> int:
         except OSError as exc:
             return _reject(args.json, exc)
     try:
-        report = verify_example(args.record_id, checks, args.limits)
+        report = verify_example(args.record_id, args.check, args.limits)
     except (KeyError, ValueError) as exc:
         # an unknown record, or a selection that runs no check
         print(exc.args[0], file=sys.stderr)
@@ -133,8 +142,8 @@ def _verify_all(args, outdir: Path | None) -> int:
     return summary.exit_code
 
 
-def _ints(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
+def _ints(raw: str, what: str) -> list[int]:
+    return [_integer(tok.strip(), what) for tok in raw.split(",") if tok.strip()]
 
 
 def _cmd_lattice(args) -> int:
@@ -143,7 +152,7 @@ def _cmd_lattice(args) -> int:
     # (ValueError) is rejected input
     try:
         if sub == "k2-wci":
-            print(lattice.k2_weighted_ci(_ints(args.weights), _ints(args.degrees)))
+            print(lattice.k2_weighted_ci(_ints(args.weights, "a weight"), _ints(args.degrees, "a degree")))
         elif sub == "rr-chi":
             print(lattice.rr_chi(Fraction(args.chi0), args.l2, args.lk))
         elif sub == "index-two":
@@ -210,13 +219,13 @@ def _cmd_groebner(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dpv", description=__doc__)
+    parser = _Parser(prog="dpv", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
     pv = subs.add_parser("verify", help="verify one catalogued example")
     pv.add_argument("record_id")
     short = {check: alias for alias, check in _CHECK_ALIASES.items()}
-    pv.add_argument("--check", help="comma-separated subset: " + ",".join(
+    pv.add_argument("--check", type=_parse_checks, help="comma-separated subset: " + ",".join(
         short.get(check, check) for check in ALL_CHECKS))
     pv.add_argument("--json", help="write the report to this file")
     pv.add_argument("--limit-pairs", type=int, help="Groebner pair budget")
@@ -272,15 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if hasattr(args, "limit_pairs"):
-        # read DPV_* once, before any work, so a malformed value is rejected
-        # input rather than an error deep inside the engine
-        try:
+    try:
+        args = build_parser().parse_args(argv)
+        if hasattr(args, "limit_pairs"):
+            # read DPV_* once, before any work, so a malformed value is rejected
+            # input rather than an error deep inside the engine
             args.limits = _limits(args)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 1
+    except (_Rejected, ValueError) as exc:
+        print(exc, file=sys.stderr)
+        return 1
     return args.func(args)
 
 

@@ -13,7 +13,7 @@ import heapq
 import itertools
 import os
 from dataclasses import dataclass
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 from .orders import MonomialOrder, elimination, grevlex
 from .poly import Polynomial
@@ -377,17 +377,20 @@ def degree_of_basis(G: list[Polynomial], n: int, order: MonomialOrder) -> int:
     return count
 
 
-def projective_is_empty(
-    gens: list[Polynomial], irrelevant: list[str], limits: Limits | None = None
-) -> bool:
-    """True iff the projective zero set is empty: every irrelevant variable
-    lies in the radical, i.e. the affine cone sits inside the vertex."""
+def projective_is_empty(gens: list[Polynomial], limits: Limits | None = None) -> bool:
+    """True iff the weighted-homogeneous gens cut out nothing in the weighted
+    projective space of their ring: one Groebner basis shows that the affine
+    cone is at most the vertex, dimension(gens) <= 0.  Exact because the
+    weights are positive: t.x = (t^w_i x_i) preserves the zero set, and the
+    orbit closure of any point but the vertex is a curve through the vertex
+    (projective weak Nullstellensatz: Cox, Little & O'Shea, Ideals,
+    Varieties, and Algorithms, 8.3).  Raises ValueError for a generator that
+    is not weighted-homogeneous in its ring's weights."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return False  # the zero ideal cuts out the whole (nonempty) space
     ring = gens[0].ring
-    for name in irrelevant:
-        v = Polynomial.variable(ring, name)
-        if not radical_membership(v, gens, limits):
-            return False
-    return True
+    for g in gens:
+        if len({sum(map(mul, e, ring.weights)) for e in g.terms}) > 1:
+            raise ValueError(f"{g} is not weighted-homogeneous")
+    return dimension(gens, ring, limits=limits) <= 0

@@ -111,6 +111,26 @@ def ruled_k2(h1: int) -> int:
     return 8 * (1 - h1)
 
 
+def _product_lattice(factors: list[int], z_class: dict, twist: list[int]) -> DivisorLattice:
+    """Hyperplane classes h_1..h_n of a product of projective spaces of the
+    given dimensions, on a surface Z of class z_class (a dict from exponent
+    vectors m to coefficients c, for the terms c*h^m): h_i.h_j.Z is the sum
+    of c over the terms with e_i + e_j + m = factors, the class of a point.
+    The canonical class is sum_k (twist_k - (a_k + 1)) h_k."""
+    n = len(factors)
+    top = tuple(factors)
+
+    def meet(i: int, j: int) -> int:
+        hij = [(k == i) + (k == j) for k in range(n)]
+        return sum(c for m, c in z_class.items() if tuple(map(sum, zip(hij, m))) == top)
+
+    return DivisorLattice(
+        basis=tuple(f"h{i + 1}" for i in range(n)),
+        gram=tuple(tuple(meet(i, j) for j in range(n)) for i in range(n)),
+        canonical=tuple(d - (a + 1) for a, d in zip(factors, twist)),
+    )
+
+
 def hypersurface_lattice(factors: list[int], multidegree: list[int]) -> DivisorLattice:
     """Lattice of hyperplane classes restricted to a hypersurface of the
     given multidegree in a product of projective spaces of the given
@@ -121,28 +141,8 @@ def hypersurface_lattice(factors: list[int], multidegree: list[int]) -> DivisorL
     if sum(factors) != 3:
         raise ValueError("hypersurface is not a surface")
     n = len(factors)
-
-    def top(exps: list[int]) -> int:
-        # degree of h1^e1 ... hn^en . (sum d_k h_k) in the ambient
-        total = 0
-        for k in range(n):
-            e = list(exps)
-            e[k] += 1
-            if e == list(factors):
-                total += multidegree[k]
-        return total
-
-    gram = tuple(
-        tuple(
-            top([(1 if k == i else 0) + (1 if k == j else 0) for k in range(n)])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    canonical = tuple(d - (a + 1) for a, d in zip(factors, multidegree))
-    return DivisorLattice(
-        basis=tuple(f"h{i + 1}" for i in range(n)), gram=gram, canonical=canonical
-    )
+    z_class = {tuple(int(k == i) for k in range(n)): d for i, d in enumerate(multidegree)}
+    return _product_lattice(factors, z_class, multidegree)
 
 
 def cover_lattice(factors: list[int], bidegree: list[int]) -> DivisorLattice:
@@ -152,20 +152,7 @@ def cover_lattice(factors: list[int], bidegree: list[int]) -> DivisorLattice:
     (K_base + bidegree)."""
     if sum(factors) != 2:
         raise ValueError("base is not a surface")
-    n = len(factors)
-    gram = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = [(1 if k == i else 0) + (1 if k == j else 0) for k in range(n)]
-            row.append(2 if e == list(factors) else 0)
-        gram.append(tuple(row))
-    canonical = tuple(b - (a + 1) for a, b in zip(factors, bidegree))
-    return DivisorLattice(
-        basis=tuple(f"h{i + 1}" for i in range(n)),
-        gram=tuple(gram),
-        canonical=canonical,
-    )
+    return _product_lattice(factors, {(0,) * len(factors): 2}, bidegree)
 
 
 # ---------------------------------------------------------------------------

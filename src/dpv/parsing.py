@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from .poly import Polynomial
 from .ring import RingContext
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_']*|\d+|\^|\+|\-|\*|/|\(|\))")
+_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_']*|[0-9]+|\^|\+|\-|\*|/|\(|\))")
 
 
 def tokenize(text: str) -> list[str]:
@@ -127,11 +127,11 @@ class _ExprParser:
 
 
 def _integer(word: str, what: str) -> int:
-    """int(word), or a ValueError that names the field (what) and word."""
-    try:
-        return int(word)
-    except ValueError:
-        raise ValueError(f"{what} must be an integer, got {word!r}") from None
+    """int(word) for ASCII digits with an optional minus sign (a negative
+    value meets its field's range check), else a ValueError naming what and word."""
+    if not re.fullmatch("-?[0-9]+", word):
+        raise ValueError(f"{what} must be an integer, got {word!r}")
+    return int(word)
 
 
 def parse_poly(ring: RingContext, text: str) -> Polynomial:
@@ -205,8 +205,7 @@ class ExtraChartDecl:
 @dataclass
 class ModelDecl:
     ring: RingContext
-    ambient: str | None = None  # "wproj" | "multiproj"
-    factors: tuple[int, ...] = ()
+    factors: tuple[int, ...] = ()  # () for wproj, the factor dimensions for multiproj
     hypersurfaces: tuple[Polynomial, ...] = ()
     blowup_chart: str | None = None
     blowup_center: tuple[str, str] | None = None  # raw texts, parsed in the chart ring
@@ -239,7 +238,6 @@ def parse_model(text: str) -> ModelDecl:
         seen.add(head)
         if head == "ambient":
             kind, *dims = rest.split() or [None]
-            decl.ambient = kind
             decl.factors = tuple(_integer(w, "a factor dimension") for w in dims)
             if kind == "multiproj":
                 if not decl.factors or min(decl.factors) < 0 or sum(d + 1 for d in decl.factors) != ring.ngeom:
@@ -264,7 +262,7 @@ def parse_model(text: str) -> ModelDecl:
             raise ValueError(f"unknown model declaration {head!r}")
     if "doublecover" in seen and seen & {"hypersurface", "extrachart"}:
         raise ValueError("a doublecover takes no hypersurface or extrachart lines")
-    if decl.ambient is None:
+    if "ambient" not in seen:
         raise ValueError("model text needs an ambient line")
     decl.hypersurfaces = tuple(hyps)
     decl.extra_chart_decls = tuple(charts)

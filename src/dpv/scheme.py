@@ -18,7 +18,9 @@ projective spaces has all weights 1, and they miss nothing there (its
 irrelevant ideal is generated by the products of one variable from every
 block: Cox, The homogeneous coordinate ring of a toric variety, 1995).
 Ambient emptiness of a homogeneous ideal is therefore tested chart by chart
-and then on that locus alone.
+and then on that locus alone, and a locus of the ambient (that one, or a
+singular stratum) is empty when one Groebner basis shows that its affine
+cone is at most the vertex (groebner.projective_is_empty).
 
 Regularity uses the Jacobian criterion over the base field F_p(params) with
 derivations taken in both variable sorts: geometric columns detect smoothness
@@ -74,17 +76,15 @@ from .parsing import ExtraChartDecl, ModelDecl, parse_poly
 from .poly import Polynomial
 from .ring import RingContext
 
-INHOMOGENEOUS = "inhomogeneous"
-
-
 @dataclass(frozen=True)
 class AmbientSpace:
-    kind: str  # "weighted_projective" | "multiprojective"
+    # factors: () for a weighted projective space, else the dimensions of a
+    # product of projective spaces (all weights 1)
     ring: RingContext
     factors: tuple[int, ...] = ()
 
     def factor_blocks(self) -> tuple[tuple[str, ...], ...]:
-        if self.kind != "multiprojective":
+        if not self.factors:
             return (self.ring.geom,)
         blocks = []
         start = 0
@@ -93,14 +93,14 @@ class AmbientSpace:
             start += d + 1
         return tuple(blocks)
 
-    def degree(self, f: Polynomial) -> tuple[int, ...] | str:
-        """Weighted degree of f in each factor block, or INHOMOGENEOUS when
-        its terms disagree; zero has degree 0 in every block."""
+    def degree(self, f: Polynomial) -> tuple[int, ...]:
+        """Weighted degree of f in each factor block; zero has degree 0 in
+        every block.  Raises ValueError when the terms of f disagree."""
         ring = self.ring
         blocks = [[ring.geom_index(v) for v in b] for b in self.factor_blocks()]
         degs = {tuple(sum(e[i] * ring.weights[i] for i in b) for b in blocks) for e in f.terms}
         if len(degs) > 1:
-            return INHOMOGENEOUS
+            raise ValueError(f"{f} is not homogeneous in the ambient")
         return degs.pop() if degs else (0,) * len(blocks)
 
     def uncharted_empty(self, gens, limits: Limits | None = None) -> bool:
@@ -108,12 +108,10 @@ class AmbientSpace:
         charts miss, i.e. where every weight-1 variable vanishes.  With all
         weights 1 the charts cover the ambient and nothing is computed."""
         ring = self.ring
-        weight1 = [v for v, w in zip(ring.geom, ring.weights) if w == 1]
-        heavy = [v for v, w in zip(ring.geom, ring.weights) if w > 1]
-        if not heavy:
+        if all(w == 1 for w in ring.weights):
             return True
-        gens = list(gens) + [Polynomial.variable(ring, v) for v in weight1]
-        return projective_is_empty(gens, heavy, limits)
+        weight1 = [Polynomial.variable(ring, v) for v, w in zip(ring.geom, ring.weights) if w == 1]
+        return projective_is_empty(list(gens) + weight1, limits)
 
 
 @dataclass(frozen=True)
@@ -236,14 +234,12 @@ def build_model(decl: ModelDecl, model_id: str, limits: Limits | None = None) ->
     presentation, blown up when the declaration ends in a blow-up.  A
     hypersurface that is not homogeneous in the ambient is rejected with
     ValueError."""
-    kind = "weighted_projective" if decl.ambient == "wproj" else "multiprojective"
-    ambient = AmbientSpace(kind, decl.ring, decl.factors)
+    ambient = AmbientSpace(decl.ring, decl.factors)
     if decl.cover_section is not None:
         model = double_cover(ambient, decl.cover_section, decl.cover_bidegree, model_id)
     else:
         for f in decl.hypersurfaces:
-            if ambient.degree(f) == INHOMOGENEOUS:
-                raise ValueError(f"hypersurface {f} is not homogeneous in the ambient")
+            ambient.degree(f)  # raises ValueError when f is not homogeneous
         extra = tuple(_build_extra_chart(decl.ring, d) for d in decl.extra_chart_decls)
         model = SurfaceModel(
             model_id=model_id,
@@ -406,14 +402,12 @@ def ambient_check(model: SurfaceModel, limits: Limits | None = None) -> AmbientR
         return ambient_check(model.parent, limits)
     ambient = model.ambient
     ring = ambient.ring
-    if ambient.kind == "multiprojective":
+    if ambient.factors:
         return AmbientReport(ok=True)
     strata = []
-    # d divides some weight, so kept is never empty
     for d in sorted({d for w in ring.weights for d in range(2, w + 1) if w % d == 0}):
-        kept = [v for v, w in zip(ring.geom, ring.weights) if w % d == 0]
         killed = [Polynomial.variable(ring, v) for v, w in zip(ring.geom, ring.weights) if w % d != 0]
-        strata.append((d, projective_is_empty(list(model.equations) + killed, kept, limits)))
+        strata.append((d, projective_is_empty(list(model.equations) + killed, limits)))
     coverage = "covered"
     if not ambient.uncharted_empty(model.equations, limits):
         coverage = "asserted" if any(c.provenance == "extra" for c in model.charts) else "uncovered"

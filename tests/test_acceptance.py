@@ -258,7 +258,7 @@ def test_criterion_7_emptiness_matches_point_search():
             if not gens:
                 continue
             try:
-                empty = projective_is_empty(gens, ["x", "y"], lim)
+                empty = projective_is_empty(gens, lim)
             except Inconclusive:
                 continue
             found = ff.projective_line_point_scan(F, [ff.int_terms(g) for g in gens])

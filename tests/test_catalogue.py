@@ -16,6 +16,7 @@ from dpv.catalogue import (
     verify_example,
 )
 from dpv.groebner import Inconclusive, Limits
+from dpv.parsing import parse_model
 from dpv.ring import work_done
 
 JSON_KEYS = {"schema", "id", "checks", "certificates", "expected", "computed", "notes", "timings"}
@@ -164,6 +165,21 @@ def test_compute_k2_rejects_unknown_kind():
     _, model = load_example("e1-2")
     with pytest.raises(ValueError):
         compute_k2(replace(model, presentation="bogus"))
+
+
+QUINTIC_P1123 = """
+ring p=2 geom x0:1 x1:1 y:2 z:3
+ambient wproj
+hypersurface z*y+x0^5+x1^5+x0*y^2
+"""
+
+
+def test_compute_k2_rejects_a_fractional_formula_value():
+    # the formula gives (5 - 7)^2 * 5 / 6 = 10/3, which int() would truncate
+    # to 3; the check raises, and is no assert that python -O would strip
+    model = scheme.build_model(parse_model(QUINTIC_P1123), "quintic")
+    with pytest.raises(ValueError, match="K\\^2 = 10/3 is not an integer"):
+        compute_k2(model)
 
 
 def test_k2_is_read_off_the_model():

@@ -23,8 +23,9 @@ def test_limit_pairs_keeps_step_limit_from_env(monkeypatch):
 
 def test_check_help_names_every_check_once(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "200")  # argparse would wrap the list on a narrow terminal
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])
+    assert exc.value.code == 0
     listed = capsys.readouterr().out.split("comma-separated subset:", 1)[1].split()[0]
     assert listed == "ambient,regular,normal,integral,k2,extras"
     assert cli._parse_checks(listed) == ALL_CHECKS
@@ -51,9 +52,29 @@ def test_verify_unknown_record(capsys):
     assert "unknown example id" in capsys.readouterr().err
 
 
-def test_verify_unknown_check():
-    with pytest.raises(SystemExit):
-        main(["verify", "e1-2", "--check", "bogus"])
+def test_verify_unknown_check(capsys):
+    assert main(["verify", "e1-2", "--check", "bogus"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "dpv verify: argument --check: unknown check 'bogus'; "
+        "choose from ambient, regular, geom_normal, geom_integral, k2, extras\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["verify", "e1-2", "--limit-pairs", "abc"],
+    ["verify-all", "--p", "5"],
+    ["frobnicate"],
+    ["lattice", "rr-chi", "x", "1", "2"],
+])
+def test_malformed_command_line_is_rejected_in_one_line(capsys, argv):
+    # exit code 2 means inconclusive, so argparse's own usage exit is not used
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("dpv") and out.err.count("\n") == 1 and out.err.endswith("\n")
 
 
 def test_verify_json_artifact(tmp_path, capsys):
@@ -114,7 +135,7 @@ def test_lattice_subcommands(capsys, argv, want):
     [
         (["negcurve", "0"], "dY must be positive"),
         (["k2-wci", "--weights", "1,1,2", "--degrees", "6"], "surface needs exactly three more weights than degrees"),
-        (["k2-wci", "--weights", "1,x", "--degrees", "6"], "invalid literal for int() with base 10: 'x'"),
+        (["k2-wci", "--weights", "1,x", "--degrees", "6"], "a weight must be an integer, got 'x'"),
     ],
 )
 def test_lattice_rejects_bad_input_in_one_line(capsys, argv, reason):

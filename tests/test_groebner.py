@@ -146,11 +146,20 @@ def test_vector_space_dimension_inseparable_point():
 
 def test_projective_emptiness():
     ring = parse_ring("ring p=3 geom x y")
-    assert projective_is_empty(P(ring, "x", "y"), ["x", "y"])
-    assert not projective_is_empty(P(ring, "x^2"), ["x", "y"])
+    assert projective_is_empty(P(ring, "x", "y"))
+    assert not projective_is_empty(P(ring, "x^2"))
     # no rational point but a geometric one: still nonempty
-    assert not projective_is_empty(P(ring, "x^2+y^2"), ["x", "y"])
-    assert not projective_is_empty([], ["x", "y"])
+    assert not projective_is_empty(P(ring, "x^2+y^2"))
+    assert not projective_is_empty([])
+    # P(1,1,2): x = y = 0 is the point [0:0:1]; adding z leaves nothing
+    ring = parse_ring("ring p=3 geom x:1 y:1 z:2")
+    assert not projective_is_empty(P(ring, "x", "y"))
+    assert projective_is_empty(P(ring, "x", "y", "z"))
+    # weighted-homogeneous of degree 6, with the points [0:1:z], z^3 = -1
+    assert not projective_is_empty(P(ring, "x", "z^3+y^6"))
+    # a generator must be homogeneous in the weights
+    with pytest.raises(ValueError, match="not weighted-homogeneous"):
+        projective_is_empty(P(ring, "x", "z+x"))
 
 
 def test_inconclusive_carries_resource():

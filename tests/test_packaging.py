@@ -1,4 +1,4 @@
-"""Promises pyproject.toml makes about the package."""
+"""Promises about the package: those pyproject.toml makes, and what its sources may not use."""
 
 import ast
 import pathlib
@@ -21,3 +21,11 @@ def test_sources_parse_under_the_oldest_supported_python():
     assert sources
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=version)
+
+
+def test_sources_have_no_assert_statement():
+    # python -O strips assert statements, so none may guard a result
+    for path in sorted((ROOT / "src" / "dpv").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert at lines {lines}"

@@ -25,7 +25,9 @@ def test_ring_declaration():
     # 2^61 - 1 is prime, but rejected before a trial division that would not finish
     ["geom x", "ring geom x", "ring p=6 geom x", "ring p=3 bogus x", "ring p=2305843009213693951 geom x",
      # malformed numbers: a missing p, a missing weight, a weight that is a name
-     "ring p= geom x", "ring p=3 geom x:", "ring p=3 geom x:a"],
+     "ring p= geom x", "ring p=3 geom x:", "ring p=3 geom x:a",
+     # only ASCII decimal digits: no digit separator, no plus sign, no other script's digits
+     "ring p=1_1 geom x", "ring p=3 geom x:+2 y", "ring p=\u0663 geom x", "ring p=3 geom x:\u0662"],
 )
 def test_ring_declaration_rejects(text):
     with pytest.raises(ValueError):
@@ -59,7 +61,7 @@ def test_fraction_coefficients_round_trip():
 
 def test_expression_errors():
     ring = parse_ring("ring p=3 geom x")
-    for bad in ["x +", "(x", "x ** 2", "w", "x^"]:
+    for bad in ["x +", "(x", "x ** 2", "w", "x^", "x^\u0663", "\u0662*x"]:
         with pytest.raises((ValueError, KeyError, SyntaxError)):
             parse_poly(ring, bad)
 
@@ -84,7 +86,7 @@ def test_model_declaration_hypersurface():
         extrachart name=U coords x0 x1 u invert u eq s0*u^2+s1*u^3+s2*x0^6+s3*x1^6
         """
     )
-    assert decl.ambient == "wproj"
+    assert decl.factors == ()  # a weighted projective space
     assert len(decl.hypersurfaces) == 1
     assert build_model(decl, "m").ambient.degree(decl.hypersurfaces[0]) == (6,)
     (ec,) = decl.extra_chart_decls
@@ -116,8 +118,7 @@ def test_model_declaration_doublecover():
         doublecover bidegree 1 1 section x*y*x'^2+t1*x^2*x'^2+t2*y^2*x'^2+t3*x^2*y'^2+t4*y^2*y'^2
         """
     )
-    assert decl.ambient == "multiproj"
-    assert decl.factors == (1, 1)
+    assert decl.factors == (1, 1)  # a product of projective spaces
     assert decl.cover_bidegree == (1, 1)
     assert decl.cover_section is not None
     assert build_model(decl, "m").ambient.degree(decl.cover_section) == (2, 2)
@@ -188,6 +189,11 @@ def test_model_rejects_garbage():
         ("ring p=2 geom x y u v\nambient multiproj 1 a", "a factor dimension must be an integer, got 'a'"),
         ("ring p=2 geom x y u v\nambient multiproj 1 1\ndoublecover bidegree 1 b section x",
          "a bidegree must be an integer, got 'b'"),
+        ("ring p=2 geom x y u v\nambient multiproj 1 +1", r"a factor dimension must be an integer, got '\+1'"),
+        # a negative number is read, and then fails its own range check
+        ("ring p=2 geom x y u v\nambient multiproj 3 -1", "factor dimensions do not match the ring"),
+        ("ring p=2 geom x y u v\nambient multiproj 1 1\ndoublecover bidegree 1 \u0661 section x",
+         "a bidegree must be an integer, got '\u0661'"),
     ]:
         with pytest.raises(ValueError, match=reason):
             parse_model(text)

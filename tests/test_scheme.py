@@ -14,7 +14,6 @@ from dpv.parsing import parse_ideal_lines, parse_model, parse_poly, parse_ring
 from dpv.poly import Polynomial
 from dpv.ring import work_done
 from dpv.scheme import (
-    INHOMOGENEOUS,
     AmbientSpace,
     Chart,
     ambient_check,
@@ -83,16 +82,18 @@ def test_standard_charts_product():
 
 def test_ambient_degree():
     ring = parse_ring("ring p=3 geom x:1 y:2 params s")
-    wp = AmbientSpace("weighted_projective", ring)
+    wp = AmbientSpace(ring)
     assert wp.degree(parse_poly(ring, "y^3+x^6")) == (6,)  # y has weight 2
     assert wp.degree(parse_poly(ring, "s*x")) == (1,)
     assert wp.degree(Polynomial.zero(ring)) == (0,)
-    assert wp.degree(parse_poly(ring, "y+x")) == INHOMOGENEOUS
+    with pytest.raises(ValueError, match="not homogeneous"):
+        wp.degree(parse_poly(ring, "y+x"))
     # a product of projective spaces: one degree per factor block
     pencil = build(PENCIL).ambient
     assert pencil.degree(parse_poly(pencil.ring, "u*x^2+s*v*y*z")) == (2, 1)
     assert pencil.degree(Polynomial.zero(pencil.ring)) == (0, 0)
-    assert pencil.degree(parse_poly(pencil.ring, "u*x+v*x^2")) == INHOMOGENEOUS
+    with pytest.raises(ValueError, match="not homogeneous"):
+        pencil.degree(parse_poly(pencil.ring, "u*x+v*x^2"))
 
 
 def test_chart_inversion_bookkeeping():
@@ -499,15 +500,15 @@ def _units(charts):
 
 def _recorded_ambient_probes(monkeypatch):
     # the test of the locus the standard charts miss is the only caller of
-    # radical_membership (through projective_is_empty) in disjointness
+    # projective_is_empty in disjointness; each probe is its generators
     probes = []
-    real = groebner.radical_membership
+    real = scheme.projective_is_empty
 
-    def recording(g, gens, limits=None):
-        probes.append(str(g))
-        return real(g, gens, limits)
+    def recording(gens, limits=None):
+        probes.append({str(g) for g in gens})
+        return real(gens, limits)
 
-    monkeypatch.setattr(groebner, "radical_membership", recording)
+    monkeypatch.setattr(scheme, "projective_is_empty", recording)
     return probes
 
 
@@ -543,13 +544,13 @@ def test_subschemes_disjoint_weighted_tests_only_the_heavy_variable(monkeypatch)
     disjoint, charts = subschemes_disjoint(m, [parse_poly(ring, "x")], [parse_poly(ring, "y")], None)
     assert _units(charts) == [("D+(x)", True), ("D+(y)", True)]
     assert disjoint is False
-    assert probes == ["z"]
+    assert len(probes) == 1 and {"x", "y"} <= probes[0]  # one probe, where x = y = 0
     # the point [0:1:0] misses the line y = 0; the probe rules out [0:0:1]
     probes.clear()
     point = [parse_poly(ring, "x"), parse_poly(ring, "z")]
     disjoint, _ = subschemes_disjoint(m, point, [parse_poly(ring, "y")], None)
     assert disjoint is True
-    assert probes == ["z"]
+    assert len(probes) == 1 and {"x", "y"} <= probes[0]  # one probe, where x = y = 0
 
 
 def test_subschemes_disjoint_three_factor_product(monkeypatch):
