@@ -135,7 +135,7 @@ localize (s2*t1+s1*t2)^2*x1^3+(t2^2+s1*s2)*x1+s2
 _E2_4 = """
 ring p=2 geom x:1 y:1 x':1 y':1 params t1 t2 t3 t4
 ambient multiproj 1 1
-doublecover bidegree 1 1 section x*y*x'^2+t1*x^2*x'^2+t2*y^2*x'^2+t3*x^2*y'^2+t4*y^2*y'^2
+doublecover section x*y*x'^2+t1*x^2*x'^2+t2*y^2*x'^2+t3*x^2*y'^2+t4*y^2*y'^2
 """
 
 _E2_5_PENCIL = """

@@ -18,7 +18,6 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 from . import lattice
@@ -146,35 +145,44 @@ def _ints(raw: str, what: str) -> list[int]:
     return [_integer(tok.strip(), what) for tok in raw.split(",") if tok.strip()]
 
 
+def _k2_wci(weights: str, degrees: str):
+    return lattice.k2_weighted_ci(_ints(weights, "a weight"), _ints(degrees, "a degree"))
+
+
+# the positional-argument lemmas of `dpv lattice`, in help order after k2-wci:
+# subcommand, lemma, help, integer arguments
+_LEMMAS = (
+    ("rr-chi", lattice.rr_chi, "chi(L) = chi(O) + (L.L - L.K)/2", ("chi0", "l2", "lk")),
+    ("index-two", lattice.index_two_check, "integrality of H^2 (1+r)/2", ("r", "h2")),
+    ("negcurve", lattice.negcurve_divisibility, "divisibility constraint from a negative curve", ("dy",)),
+    ("conic-fibration", lattice.conic_fibration, "fibration data forced on K^2 = 8/a", ("a",)),
+    ("conic-bound", lattice.conic_bundle_bound, "multiplicities a with a*K^2 <= 4", ("k2", "amax")),
+    ("secant", lattice.secant_selfint, "self-intersection after a secant construction",
+     ("m", "degc", "genus", "n")),
+    ("blowup-k2", lattice.blowup_k2, "K^2 drop under a point blow-up", ("k2", "degree")),
+    ("ruled-k2", lattice.ruled_k2, "K^2 = 8(1 - h^1) for a ruled surface", ("h1",)),
+)
+
+
+def _show(value) -> str:
+    """A lemma's answer on one line: a tuple space-joined, a list
+    comma-joined (none when empty), a dict as sorted JSON."""
+    if isinstance(value, tuple):
+        return " ".join(map(str, value))
+    if isinstance(value, list):
+        return ",".join(map(str, value)) or "none"
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
+    return str(value)
+
+
 def _cmd_lattice(args) -> int:
-    sub = args.subcommand
     # a value outside a formula's domain or a non-integer list item
     # (ValueError) is rejected input
     try:
-        if sub == "k2-wci":
-            print(lattice.k2_weighted_ci(_ints(args.weights, "a weight"), _ints(args.degrees, "a degree")))
-        elif sub == "rr-chi":
-            print(lattice.rr_chi(Fraction(args.chi0), args.l2, args.lk))
-        elif sub == "index-two":
-            verdict, value = lattice.index_two_check(args.r, args.h2)
-            print(f"{verdict} {value}")
-        elif sub == "negcurve":
-            print(lattice.negcurve_divisibility(args.dy))
-        elif sub == "conic-fibration":
-            res = lattice.conic_fibration(args.a)
-            print(res if isinstance(res, str) else json.dumps(res, sort_keys=True))
-        elif sub == "conic-bound":
-            print(",".join(str(a) for a in lattice.conic_bundle_bound(args.k2, args.amax)) or "none")
-        elif sub == "secant":
-            print(lattice.secant_selfint(args.m, args.degc, args.genus, args.n))
-        elif sub == "blowup-k2":
-            print(lattice.blowup_k2(args.k2, args.degree))
-        elif sub == "ruled-k2":
-            print(lattice.ruled_k2(args.h1))
-        else:  # pragma: no cover - argparse enforces choices
-            raise SystemExit(f"unknown lattice subcommand {sub!r}")
+        print(_show(args.lemma(*(getattr(args, name) for name in args.params))))
     except ValueError as exc:
-        print(f"lattice {sub}: {exc}", file=sys.stderr)
+        print(f"lattice {args.subcommand}: {exc}", file=sys.stderr)
         return 1
     return 0
 
@@ -244,30 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     w = lsubs.add_parser("k2-wci", help="K^2 of a weighted complete intersection")
     w.add_argument("--weights", required=True)
     w.add_argument("--degrees", required=True, help="comma-separated (may be empty)")
-    r = lsubs.add_parser("rr-chi", help="chi(L) = chi(O) + (L.L - L.K)/2")
-    r.add_argument("chi0", type=int)
-    r.add_argument("l2", type=int)
-    r.add_argument("lk", type=int)
-    i = lsubs.add_parser("index-two", help="integrality of H^2 (1+r)/2")
-    i.add_argument("r", type=int)
-    i.add_argument("h2", type=int)
-    nc = lsubs.add_parser("negcurve", help="divisibility constraint from a negative curve")
-    nc.add_argument("dy", type=int)
-    cf = lsubs.add_parser("conic-fibration", help="fibration data forced on K^2 = 8/a")
-    cf.add_argument("a", type=int)
-    cb = lsubs.add_parser("conic-bound", help="multiplicities a with a*K^2 <= 4")
-    cb.add_argument("k2", type=int)
-    cb.add_argument("amax", type=int)
-    se = lsubs.add_parser("secant", help="self-intersection after a secant construction")
-    se.add_argument("m", type=int)
-    se.add_argument("degc", type=int)
-    se.add_argument("genus", type=int)
-    se.add_argument("n", type=int)
-    bk = lsubs.add_parser("blowup-k2", help="K^2 drop under a point blow-up")
-    bk.add_argument("k2", type=int)
-    bk.add_argument("degree", type=int)
-    rk = lsubs.add_parser("ruled-k2", help="K^2 = 8(1 - h^1) for a ruled surface")
-    rk.add_argument("h1", type=int)
+    w.set_defaults(lemma=_k2_wci, params=("weights", "degrees"))
+    for name, lemma, text, params in _LEMMAS:
+        sp = lsubs.add_parser(name, help=text)
+        for param in params:
+            sp.add_argument(param, type=int)
+        sp.set_defaults(lemma=lemma, params=params)
     pl.set_defaults(func=_cmd_lattice)
 
     pg = subs.add_parser("groebner", help="reduced Groebner basis of an ideal file")

@@ -8,7 +8,7 @@ lemmas that pin down fibration structures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -150,6 +150,8 @@ def cover_lattice(factors: list[int], bidegree: list[int]) -> DivisorLattice:
     product of projective spaces that is a surface, branched over a section
     of twice the given bidegree: the form doubles, and K = pullback of
     (K_base + bidegree)."""
+    if len(factors) != len(bidegree):
+        raise ValueError("one degree per factor")
     if sum(factors) != 2:
         raise ValueError("base is not a surface")
     return _product_lattice(factors, {(0,) * len(factors): 2}, bidegree)

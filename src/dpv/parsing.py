@@ -13,7 +13,7 @@ followed by one blow-up of that base:
     ambient multiproj 2 1              # factor dimensions, all weights 1
     hypersurface EXPR                  # any number, none for the whole ambient
     extrachart name=U coords x0 x1 u invert u eq EXPR
-    doublecover bidegree 1 1 section EXPR   # or one double cover instead
+    doublecover section EXPR           # or one double cover instead
     blowup chart=NAME center EXPR ; EXPR    # blows up the model above
     localize EXPR                      # inverted on the blow-up's center chart
 
@@ -210,7 +210,6 @@ class ModelDecl:
     blowup_chart: str | None = None
     blowup_center: tuple[str, str] | None = None  # raw texts, parsed in the chart ring
     localize: str | None = None
-    cover_bidegree: tuple[int, int] | None = None
     cover_section: Polynomial | None = None
     extra_chart_decls: tuple[ExtraChartDecl, ...] = field(default=())
 
@@ -257,7 +256,10 @@ def parse_model(text: str) -> ModelDecl:
                 raise ValueError("localize needs a blowup line before it")
             decl.localize = rest
         elif head == "doublecover":
-            _parse_doublecover(decl, ring, rest)
+            word, _, section = rest.partition(" ")
+            if word != "section" or not section.strip():
+                raise ValueError("doublecover takes 'section EXPR'")
+            decl.cover_section = parse_poly(ring, section)
         else:
             raise ValueError(f"unknown model declaration {head!r}")
     if "doublecover" in seen and seen & {"hypersurface", "extrachart"}:
@@ -309,13 +311,3 @@ def _parse_blowup(decl: ModelDecl, rest: str) -> None:
     decl.blowup_chart = m.group(1)
     # store the raw texts; the builder parses them in the chart ring
     decl.blowup_center = tuple(parts)  # type: ignore[assignment]
-
-
-def _parse_doublecover(decl: ModelDecl, ring: RingContext, rest: str) -> None:
-    words = rest.split()
-    if len(words) < 5 or words[0] != "bidegree" or words[3] != "section":
-        raise ValueError("doublecover takes 'bidegree B1 B2 section EXPR'")
-    b1, b2 = (_integer(w, "a bidegree") for w in words[1:3])
-    sec = rest.split("section", 1)[1].strip()
-    decl.cover_bidegree = (b1, b2)
-    decl.cover_section = parse_poly(ring, sec)

@@ -236,7 +236,7 @@ def build_model(decl: ModelDecl, model_id: str, limits: Limits | None = None) ->
     ValueError."""
     ambient = AmbientSpace(decl.ring, decl.factors)
     if decl.cover_section is not None:
-        model = double_cover(ambient, decl.cover_section, decl.cover_bidegree, model_id)
+        model = double_cover(ambient, decl.cover_section, model_id)
     else:
         for f in decl.hypersurfaces:
             ambient.degree(f)  # raises ValueError when f is not homogeneous
@@ -352,19 +352,17 @@ def blow_up(
     )
 
 
-def double_cover(
-    ambient: AmbientSpace,
-    section: Polynomial,
-    bidegree: tuple[int, int],
-    model_id: str = "cover",
-) -> SurfaceModel:
-    """Double cover of a product of projective lines branched over a section
-    of the square of the given bidegree; one chart per trivializing product
-    chart of the base, with cover variable w."""
+def double_cover(ambient: AmbientSpace, section: Polynomial, model_id: str = "cover") -> SurfaceModel:
+    """Double cover of a product of projective spaces of total dimension 2,
+    branched over a section of even degree in every factor (twice the
+    bidegree); one chart per trivializing product chart of the base, with
+    cover variable w.  Any other base, or a section of odd degree in some
+    factor, is rejected with ValueError."""
+    if sum(ambient.factors) != 2:
+        raise ValueError(f"a double cover needs a product of projective spaces of dimension 2, not {ambient.factors}")
     deg = ambient.degree(section)
-    expected = tuple(2 * b for b in bidegree)
-    if deg != expected:
-        raise ValueError(f"section degree {deg} is not twice the bidegree {bidegree}")
+    if any(d % 2 for d in deg):
+        raise ValueError(f"section degree {deg} is odd in some factor")
     base_charts = _standard_charts(ambient, (section,))
     charts = []
     for bc in base_charts:

@@ -85,6 +85,9 @@ def test_cover_lattice():
     assert lat.gram == ((0, 2), (2, 0))
     assert lat.canonical == (-1, -1)
     assert product(lat, lat.k(), lat.k()) == 4
+    for bidegree in ([1], [1, 1, 1]):  # one bidegree per factor
+        with pytest.raises(ValueError, match="one degree per factor"):
+            cover_lattice([1, 1], bidegree)
 
 
 def test_blowup_and_ruled():

@@ -115,11 +115,10 @@ def test_model_declaration_doublecover():
         """
         ring p=2 geom x:1 y:1 x':1 y':1 params t1 t2 t3 t4
         ambient multiproj 1 1
-        doublecover bidegree 1 1 section x*y*x'^2+t1*x^2*x'^2+t2*y^2*x'^2+t3*x^2*y'^2+t4*y^2*y'^2
+        doublecover section x*y*x'^2+t1*x^2*x'^2+t2*y^2*x'^2+t3*x^2*y'^2+t4*y^2*y'^2
         """
     )
     assert decl.factors == (1, 1)  # a product of projective spaces
-    assert decl.cover_bidegree == (1, 1)
     assert decl.cover_section is not None
     assert build_model(decl, "m").ambient.degree(decl.cover_section) == (2, 2)
 
@@ -157,9 +156,9 @@ def test_model_rejects_garbage():
     ]:
         with pytest.raises(ValueError, match="ambient"):
             parse_model(text)
-    # a double cover states its bidegree and its section in full
+    # a double cover states its section in full
     for text in [
-        "ring p=2 geom x y u v\nambient multiproj 1 1\ndoublecover bidegree 1",
+        "ring p=2 geom x y u v\nambient multiproj 1 1\ndoublecover section",
         "ring p=2 geom x y u v\nambient multiproj 1 1\ndoublecover",
     ]:
         with pytest.raises(ValueError, match="doublecover"):
@@ -168,7 +167,7 @@ def test_model_rejects_garbage():
     # one blow-up of it, and nothing after the blow-up but its localize
     e2_3 = _record("e2-3").model_text
     quadric = "ring p=2 geom x y z w params s\nambient wproj\nhypersurface x^2+s*y^2+z*w\n"
-    cover = "ring p=2 geom x y u v\nambient multiproj 1 1\ndoublecover bidegree 1 1 section x^2*u^2\n"
+    cover = "ring p=2 geom x y u v\nambient multiproj 1 1\ndoublecover section x^2*u^2\n"
     for text, reason in [
         (e2_3 + "hypersurface x0*x1", "after blowup"),
         (e2_3 + "extrachart name=U coords a b eq a^2+b", "after blowup"),
@@ -183,17 +182,13 @@ def test_model_rejects_garbage():
         (quadric + "blowup chart=D+(y) center z", "chart=NAME"),
         (cover + "hypersurface x*u", "doublecover takes no"),
         (cover + "extrachart name=U coords a b eq a^2+b", "doublecover takes no"),
-        (cover + "doublecover bidegree 1 1 section y^2*v^2", "one 'doublecover'"),
+        (cover + "doublecover section y^2*v^2", "one 'doublecover'"),
         (quadric + "extrachart name=A name=B coords a b eq a^2+b", "one name="),
         # a malformed number names its field and its token
         ("ring p=2 geom x y u v\nambient multiproj 1 a", "a factor dimension must be an integer, got 'a'"),
-        ("ring p=2 geom x y u v\nambient multiproj 1 1\ndoublecover bidegree 1 b section x",
-         "a bidegree must be an integer, got 'b'"),
         ("ring p=2 geom x y u v\nambient multiproj 1 +1", r"a factor dimension must be an integer, got '\+1'"),
         # a negative number is read, and then fails its own range check
         ("ring p=2 geom x y u v\nambient multiproj 3 -1", "factor dimensions do not match the ring"),
-        ("ring p=2 geom x y u v\nambient multiproj 1 1\ndoublecover bidegree 1 \u0661 section x",
-         "a bidegree must be an integer, got '\u0661'"),
     ]:
         with pytest.raises(ValueError, match=reason):
             parse_model(text)

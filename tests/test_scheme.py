@@ -2,12 +2,13 @@
 
 import itertools
 import random
+import re
 from dataclasses import replace
 
 import pytest
 
 from dpv import groebner, scheme
-from dpv.catalogue import RECORD_ORDER, _record, load_example, verify_example
+from dpv.catalogue import ALL_CHECKS, RECORD_ORDER, RECORDS, _record, load_example, verify_example
 from dpv.groebner import Inconclusive, Limits, buchberger, dimension, is_unit_ideal
 from dpv.orders import grevlex
 from dpv.parsing import parse_ideal_lines, parse_model, parse_poly, parse_ring
@@ -264,7 +265,7 @@ def test_double_cover_charts_and_validation():
         """
         ring p=2 geom x:1 y:1 x':1 y':1 params t1 t2 t3 t4
         ambient multiproj 1 1
-        doublecover bidegree 1 1 section x*y*x'^2+t1*x^2*x'^2+t2*y^2*x'^2+t3*x^2*y'^2+t4*y^2*y'^2
+        doublecover section x*y*x'^2+t1*x^2*x'^2+t2*y^2*x'^2+t3*x^2*y'^2+t4*y^2*y'^2
         """
     )
     m = build_model(decl, "dc")
@@ -274,15 +275,18 @@ def test_double_cover_charts_and_validation():
     assert len(c.equations) == 1
     assert c.equations[0].diff("w").is_zero()  # w^2 only: inseparable cover
 
-    with pytest.raises(ValueError):
-        bad = parse_model(
-            """
-            ring p=2 geom x:1 y:1 x':1 y':1 params t1
-            ambient multiproj 1 1
-            doublecover bidegree 1 1 section t1*x^2*x'^2*y^2
-            """
-        )
-        build_model(bad, "dc2")
+    # the bidegree is half the section's degree, which must be even in
+    # every factor: (4, 2) is a double cover of bidegree (2, 1), (3, 1) is none
+    cover = "ring p=2 geom x:1 y:1 x':1 y':1 params t1\nambient multiproj 1 1\ndoublecover section "
+    assert len(build(cover + "t1*x^2*x'^2*y^2", "dc2").charts) == 4
+    bad = parse_model(cover + "t1*x^2*x'*y")
+    with pytest.raises(ValueError, match=r"section degree \(3, 1\) is odd in some factor"):
+        build_model(bad, "dc3")
+    # the base is a surface that is a product of projective spaces
+    for text in ["ring p=2 geom x y z\nambient wproj", "ring p=2 geom x y u v e f\nambient multiproj 1 1 1"]:
+        bad = parse_model(text + "\ndoublecover section x^2")
+        with pytest.raises(ValueError, match="product of projective spaces of dimension 2"):
+            build_model(bad, "dc4")
 
 
 def test_regularity_pipeline_positive_and_negative():
@@ -354,6 +358,75 @@ def test_limits_never_change_what_regular_decides():
                 assert (got.value, got.limit) == (want.value, want.limit), (record_id, n, got.chart)
                 tripped += got.value is None
     assert tripped > 0  # the sweep reaches limits that stop a chart
+
+
+_LIMIT_PROBES = ((2, 2000), (8, 20000), (21, 2000), (40, 2000))
+
+
+def _decided(report) -> dict:
+    # geom_normal's singular_dimension is null under a limit by design, so
+    # only its verdict is compared
+    out = {}
+    for c in report.checks:
+        if c.status != "inconclusive":
+            computed = c.computed["geom_normal"] if c.name == "geom_normal" else c.computed
+            out[c.name] = (c.status, computed)
+    return out
+
+
+def test_limits_never_flip_a_decided_check():
+    # a resource limit may leave a check inconclusive, never decide it the
+    # other way: at these limits every check trips on some record, yet each
+    # decided check agrees with the default run
+    undecided = set()
+    for record_id in RECORD_ORDER:
+        default = verify_example(record_id)
+        reference = _decided(default)
+        assert len(reference) == len(default.checks)
+        for max_pairs, max_steps in _LIMIT_PROBES:
+            report = verify_example(record_id, limits=Limits(max_pairs, max_steps))
+            got = _decided(report)
+            assert got == {name: reference[name] for name in got}, (record_id, max_pairs, max_steps)
+            undecided |= {c.name for c in report.checks} - set(got)
+    assert undecided == set(ALL_CHECKS)
+
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+
+
+def _negative_controls(model_text: str) -> tuple[str, str]:
+    """Two texts of surfaces that are not regular, built from a record's:
+    its parameters specialised to 1, which leaves a surface over F_p, and
+    the Frobenius twist that puts s^p in place of each parameter s."""
+    ring_line, *lines = model_text.strip().splitlines()
+    ring = parse_ring(ring_line)
+
+    def substitute(value) -> str:
+        def one(m):
+            return value(m.group()) if m.group() in ring.params else m.group()
+
+        return "\n".join(_IDENTIFIER.sub(one, line) for line in lines)
+
+    specialised = ring_line.split(" params ")[0] + "\n" + substitute(lambda s: "1")
+    twisted = ring_line + "\n" + substitute(lambda s: f"({s}^{ring.p})")
+    return specialised, twisted
+
+
+def test_negative_controls_are_not_regular():
+    # the verifier must be able to say "fail".  Over the perfect field F_p
+    # a regular surface is smooth, so the specialisation cannot be regular
+    # and geometrically non-normal.  The twist is the record base-changed
+    # along k -> k^(1/p), so the p-th roots its closure adjoins lie in the
+    # base field, and regular is predicted to fail.  That both controls are
+    # not regular at all is measured, not proved: 51,189 units in all, the
+    # largest e2-2's twist at 26,292
+    controls = 0
+    for rec in RECORDS:
+        for text in _negative_controls(rec.model_text):
+            model = build(text, rec.record_id)
+            assert check_regular(model, Limits(2000, 2 * 10**6))[0] is False, (rec.record_id, text)
+            controls += 1
+    assert controls == 2 * len(RECORDS) == 22
 
 
 def test_regular_alone_spends_less_than_the_parameter_minors():
