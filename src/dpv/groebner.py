@@ -17,13 +17,11 @@ from operator import add, le, mul, sub
 
 from .orders import MonomialOrder, elimination, grevlex
 from .poly import Polynomial
-from .ring import RingContext, work_done
+# Inconclusive lives in ring, whose kernel raises it on a parameter degree
+# overflow; it is re-exported here beside the limits that raise it
+from .ring import Inconclusive, RingContext, work_done
 
 DEFAULT_PAIR_LIMIT = 10**6
-
-
-class Inconclusive(Exception):
-    """A resource limit was hit before the computation finished."""
 
 
 @dataclass(frozen=True)

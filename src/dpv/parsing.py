@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 
 from .poly import Polynomial
-from .ring import RingContext
+from .ring import MAX_PARAM_DEGREE, Inconclusive, RingContext
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_']*|[0-9]+|\^|\+|\-|\*|/|\(|\))")
 
@@ -102,13 +102,19 @@ class _ExprParser:
         return f
 
     def factor(self) -> Polynomial:
+        start = self.i
         f = self.atom()
         if self.peek() == "^":
             self.next()
             n = self.next()
             if n is None or not n.isdigit():
                 raise ValueError("exponent must be a nonnegative integer")
-            f = f ** int(n)
+            n = int(n)
+            # a parameter degree above the packed-key limit would only fail
+            # inside the power, after building the powers below it
+            if n > MAX_PARAM_DEGREE and set(self.toks[start : self.i]) & set(self.ring.params):
+                raise ValueError(f"parameter exponent {n} is above {MAX_PARAM_DEGREE}")
+            f = f**n
         return f
 
     def atom(self) -> Polynomial:
@@ -135,7 +141,13 @@ def _integer(word: str, what: str) -> int:
 
 
 def parse_poly(ring: RingContext, text: str) -> Polynomial:
-    return _ExprParser(ring, tokenize(text)).parse()
+    """The polynomial the text denotes.  Text whose parameter degree
+    overflows the coefficient kernel (see ring.MAX_PARAM_DEGREE) is rejected
+    input: ValueError, not the kernel's Inconclusive."""
+    try:
+        return _ExprParser(ring, tokenize(text)).parse()
+    except Inconclusive as exc:
+        raise ValueError(str(exc)) from None
 
 
 def parse_ring(line: str) -> RingContext:

@@ -7,12 +7,12 @@ holds one coefficient domain, chosen by its number of parameters:
   0..p-1.
 * FractionDomain, for rings with parameters: coefficients are Coefficient
   objects, reduced fractions of sparse parameter polynomials.  A parameter
-  polynomial is a dict mapping exponent tuples (one slot per declared
-  parameter) to nonzero residues mod p.  Fractions are kept in canonical
-  form (numerator and denominator coprime, denominator monic under a fixed
-  grevlex order on the parameters) so that equal field elements compare
-  equal structurally.  Constants and parameter polynomials are fractions
-  with denominator 1 and take the same arithmetic as any other fraction.
+  polynomial is a dict mapping packed monomials (one int each, see pack) to
+  nonzero residues mod p.  Fractions are kept in canonical form (numerator
+  and denominator coprime, denominator monic under a fixed grevlex order on
+  the parameters) so that equal field elements compare equal structurally.
+  Constants and parameter polynomials are fractions with denominator 1 and
+  take the same arithmetic as any other fraction.
 
 Polynomial code talks to ring.domain, never to the coefficient type.  The
 only module-level mutable state is the per-thread work counter (work_done).
@@ -21,12 +21,17 @@ only module-level mutable state is the per-thread work counter (work_done).
 from __future__ import annotations
 
 import operator
+import struct
 import threading
 from dataclasses import dataclass, field
+from functools import reduce
 from heapq import heapify, heappop, heappush
-from operator import add, ge, methodcaller, sub
+from itertools import chain
+from operator import methodcaller, or_
 
-from .orders import grevlex_rkey
+
+class Inconclusive(Exception):
+    """A resource limit was hit before the computation finished."""
 
 
 class _Work(threading.local):
@@ -60,26 +65,86 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sparse parameter polynomials: dict[tuple[int, ...], int], values in 1..p-1
+# packed parameter monomials
+# ---------------------------------------------------------------------------
+
+# A monomial s^e is the int sum(e_i * 2^(16 i)) - deg(e) * 2^256 (_DEG_SHIFT):
+# slot i holds e_i in bits 16i..16i+15 and the degree sits above all slots.
+# The key is linear in e, so a product's key is the sum of its factors'
+# keys, and ascending keys are descending grevlex (higher degree first, then
+# the smaller last exponent), so the leading monomial is the least key.  The
+# constant monomial is 0.  Every monomial's degree stays below 2^15, so no
+# slot reaches its top bit: sums of two keys never carry between slots, and
+# the top bits serve as guard bits for the divisibility test in pp_divexact.
+MAX_PARAMS = 16
+_BITS = 16
+_SLOT = (1 << _BITS) - 1
+_DEG_SHIFT = MAX_PARAMS * _BITS
+_LOW = (1 << _DEG_SHIFT) - 1  # the slots of a key
+_GUARD = sum(1 << (_BITS * i + _BITS - 1) for i in range(MAX_PARAMS))
+MAX_PARAM_DEGREE = (1 << (_BITS - 1)) - 1
+# a key below this has degree above MAX_PARAM_DEGREE
+_FLOOR = -MAX_PARAM_DEGREE << _DEG_SHIFT
+
+
+def pack(e) -> int:
+    """The key of the monomial with exponent tuple e (at most MAX_PARAMS
+    slots, each exponent at most MAX_PARAM_DEGREE)."""
+    return sum(x << (_BITS * i) for i, x in enumerate(e)) - (sum(e) << _DEG_SHIFT)
+
+
+def unpack(key: int, n: int) -> tuple[int, ...]:
+    """The exponent tuple, n slots long, of a packed monomial: its low
+    16n bits read as n little-endian unsigned 16-bit slots."""
+    low = key & ((1 << (_BITS * n)) - 1)
+    return struct.unpack(f"<{n}H", low.to_bytes(2 * n, "little"))
+
+
+def _exponents(key: int) -> tuple[int, ...]:
+    """The exponent tuple of a packed monomial, up to its last nonzero
+    slot."""
+    low = key & _LOW
+    return unpack(low, (low.bit_length() + _BITS - 1) // _BITS)
+
+
+def _unit(i: int) -> int:
+    """Key difference of raising slot i by one: a key plus d * _unit(i) has
+    slot i and the degree both raised by d."""
+    return (1 << (_BITS * i)) - (1 << _DEG_SHIFT)
+
+
+def _degree(key: int) -> int:
+    return -(key >> _DEG_SHIFT)
+
+
+def _divides(a: int, b: int) -> bool:
+    """Monomial a divides monomial b: subtracting a's slots from b's, each
+    with its guard bit set, clears no guard bit."""
+    return ((b & _LOW | _GUARD) - (a & _LOW)) & _GUARD == _GUARD
+
+
+# ---------------------------------------------------------------------------
+# sparse parameter polynomials: dict[packed monomial, int], values in 1..p-1
 # ---------------------------------------------------------------------------
 
 PP = dict  # alias for readability in signatures
 
 
-def pp_const(c: int, p: int, nvars: int) -> PP:
+def pp_const(c: int, p: int) -> PP:
     c %= p
     if c == 0:
         return {}
-    return {(0,) * nvars: c}
+    return {0: c}
 
 
 def pp_is_const(a: PP) -> bool:
-    return len(a) == 0 or (len(a) == 1 and not any(next(iter(a))))
+    """a is a nonzero constant."""
+    return len(a) == 1 and 0 in a
 
 
 def pp_lead(a: PP):
-    """Leading (exponents, coefficient) under grevlex on the parameters."""
-    e = min(a, key=grevlex_rkey)
+    """Leading (monomial, coefficient) under grevlex on the parameters."""
+    e = min(a)
     return e, a[e]
 
 
@@ -118,15 +183,21 @@ def pp_scale(a: PP, c: int, p: int) -> PP:
 def pp_mul(a: PP, b: PP, p: int) -> PP:
     """Product of parameter polynomials.  Keys come out in the order of the
     double loop over a then b, reduced and cancelled term by term: callers'
-    work units (see _uv_content) depend on that order."""
+    work units (see _uv_content) depend on that order.
+
+    The product's leading monomial is the product of the leading monomials,
+    so its degree is known before the loop; past MAX_PARAM_DEGREE the
+    product raises Inconclusive, since a packed key would wrap."""
     if not a or not b:
         return {}
+    if min(a) + min(b) < _FLOOR:
+        raise Inconclusive(f"parameter degree above {MAX_PARAM_DEGREE}")
     _WORK.n += len(a) * len(b)
     out: PP = {}
     get = out.get
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
+            e = ea + eb
             v = (get(e, 0) + ca * cb) % p
             if v:
                 out[e] = v
@@ -148,11 +219,11 @@ def pp_divexact(a: PP, b: PP, p: int) -> PP:
     """Exact division a/b; raises ArithmeticError when b does not divide a.
 
     Heap division (Monagan & Pearce): the remainder's terms sit in a dict and
-    their monomials in a min-heap on the reversed grevlex key, so its leading
-    term is a pop rather than a scan.  Entries whose monomial has left the
-    dict (cancelled) are skipped on pop; every new term is smaller than the
-    term just divided, so no processed monomial comes back.  Each quotient
-    term charges len(b) units, as the product q_term * b would."""
+    their keys in a min-heap, so its leading term is a pop rather than a
+    scan.  Entries whose monomial has left the dict (cancelled) are skipped
+    on pop; every new term is smaller than the term just divided, so no
+    processed monomial comes back.  Each quotient term charges len(b) units,
+    as the product q_term * b would."""
     if not b:
         raise ZeroDivisionError("parameter polynomial division by zero")
     if not a:
@@ -162,26 +233,26 @@ def pp_divexact(a: PP, b: PP, p: int) -> PP:
     tail = [(e, c) for e, c in b.items() if e != be]
     units = len(b)
     r = dict(a)
-    heap = [(grevlex_rkey(e), e) for e in r]
+    heap = list(r)
     heapify(heap)
     q: PP = {}
     while r:
-        re = heappop(heap)[1]
+        re = heappop(heap)
         rc = r.pop(re, 0)
         if not rc:
             continue
-        if not all(map(ge, re, be)):
+        if not _divides(be, re):
             raise ArithmeticError("inexact parameter polynomial division")
-        de = tuple(map(sub, re, be))
+        de = re - be
         qc = rc * binv % p
         q[de] = qc
         _WORK.n += units
         for eb, cb in tail:
-            e = tuple(map(add, de, eb))
+            e = de + eb
             old = r.get(e)
             if old is None:
                 r[e] = -qc * cb % p
-                heappush(heap, (grevlex_rkey(e), e))
+                heappush(heap, e)
                 continue
             v = (old - qc * cb) % p
             if v:
@@ -193,75 +264,77 @@ def pp_divexact(a: PP, b: PP, p: int) -> PP:
 
 def pp_diff(a: PP, i: int, p: int) -> PP:
     out: PP = {}
+    shift, unit = _BITS * i, _unit(i)
     for e, c in a.items():
-        if e[i] == 0:
+        x = (e & _LOW) >> shift & _SLOT
+        if x == 0:
             continue
-        v = (c * e[i]) % p
+        v = (c * x) % p
         if v:
             # lowering slot i is injective on terms with e[i] > 0: no two
             # terms meet, so nothing merges
-            out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = v
+            out[e - unit] = v
     return out
 
 
 def pp_pth_root(a: PP, p: int) -> PP | None:
     """The r with r^p == a, or None when some exponent is not divisible by
-    p.  Coefficients pass unchanged, since c^p = c for c in F_p."""
+    p.  Coefficients pass unchanged, since c^p = c for c in F_p; a key whose
+    slots are all divisible by p is p times its root's key."""
     out: PP = {}
     for e, c in a.items():
-        if any(x % p for x in e):
+        if any(x % p for x in _exponents(e)):
             return None
-        out[tuple(x // p for x in e)] = c
+        out[e // p] = c
     return out
 
 
-def _support_vars(a: PP, b: PP):
-    used = set()
-    for src in (a, b):
-        for e in src:
-            for i, x in enumerate(e):
-                if x:
-                    used.add(i)
-    return sorted(used)
+def _support_vars(a: PP, b: PP) -> list[int]:
+    """The parameter slots that occur in a or b: the nonzero slots of one
+    OR over all keys."""
+    return [i for i, x in enumerate(_exponents(reduce(or_, chain(a, b)))) if x]
 
 
 def _to_univar(a: PP, i: int):
     """View a as univariate in slot i with parameter-poly coefficients."""
     out: dict[int, PP] = {}
+    shift, unit = _BITS * i, _unit(i)
     for e, c in a.items():
-        d = e[i]
-        ne = e[:i] + (0,) + e[i + 1 :]
+        d = (e & _LOW) >> shift & _SLOT
         coeff = out.setdefault(d, {})
-        coeff[ne] = c
+        coeff[e - d * unit] = c
     return out
 
 
 def _from_univar(u: dict[int, PP], i: int) -> PP:
     out: PP = {}
+    unit = _unit(i)
     for d, coeff in u.items():
+        raised = d * unit
         for e, c in coeff.items():
             # slot i of every e is 0 (see _to_univar), so each (d, e) writes
             # its own monomial
-            out[e[:i] + (d,) + e[i + 1 :]] = c
+            out[e + raised] = c
     return out
 
 
 def _uv_content(u: dict[int, PP], p: int) -> PP:
     """gcd of the coefficients, stopping at the first constant gcd.  That
     early exit makes the work units depend on the iteration order of u, and
-    so on the key order of the parameter-polynomial dicts that built it: a
-    kernel rewrite (pp_mul, pp_divexact, ...) must keep insertion order."""
+    so on the key order of the parameter-polynomial dicts that built it:
+    pp_mul and pp_divexact keep the insertion order of the textbook loops
+    (tests/test_ring.py holds those loops as references)."""
     g: PP = {}
     for coeff in u.values():
         g = pp_gcd(g, coeff, p)
-        if pp_is_const(g) and g:
+        if pp_is_const(g):
             return g
     return g
 
 
 def _uv_primitive(u: dict[int, PP], p: int):
     cont = _uv_content(u, p)
-    if not cont or (pp_is_const(cont) and cont[next(iter(cont))] == 1):
+    if not cont or cont == {0: 1}:
         return u, cont
     return {d: pp_divexact(c, cont, p) for d, c in u.items()}, cont
 
@@ -304,13 +377,14 @@ def _dense_rem(r: list[int], b: list[int], p: int) -> list[int]:
 
 def _pp_gcd_one_var(a: PP, b: PP, i: int, p: int) -> PP:
     """Monic Euclidean gcd when only parameter slot i occurs: F_p coefficients
-    are invertible, so no pseudo-remainders are needed."""
-    nv = len(next(iter(a)))
+    are invertible, so no pseudo-remainders are needed.  A term's exponent
+    in slot i is then its degree."""
 
     def dense(x: PP) -> list[int]:
-        out = [0] * (max(e[i] for e in x) + 1)
-        for e, c in x.items():
-            out[e[i]] = c % p
+        degs = [_degree(e) for e in x]
+        out = [0] * (max(degs) + 1)
+        for d, c in zip(degs, x.values()):
+            out[d] = c % p
         return out
 
     fa, fb = dense(a), dense(b)
@@ -318,11 +392,12 @@ def _pp_gcd_one_var(a: PP, b: PP, i: int, p: int) -> PP:
     while fb:
         fa, fb = fb, _dense_rem(fa, fb, p)
     inv = pow(fa[-1], -1, p)
+    unit = _unit(i)
     out: PP = {}
     for d, c in enumerate(fa):
         v = (c * inv) % p
         if v:
-            out[(0,) * i + (d,) + (0,) * (nv - i - 1)] = v
+            out[d * unit] = v
     return out
 
 
@@ -334,8 +409,7 @@ def pp_gcd(a: PP, b: PP, p: int) -> PP:
     if not b:
         return pp_monic(a, p)
     if pp_is_const(a) or pp_is_const(b):
-        nv = len(next(iter(a)))
-        return pp_const(1, p, nv)
+        return {0: 1}
     if a == b:
         return pp_monic(a, p)
     used = _support_vars(a, b)
@@ -353,7 +427,7 @@ def pp_gcd(a: PP, b: PP, p: int) -> PP:
             g = pa
             break
         if max(pb) == 0:
-            g = {0: pp_const(1, p, len(next(iter(a))))}
+            g = {0: {0: 1}}
             break
         r = _uv_prem(pa, pb, p)
         r, _ = _uv_primitive(r, p)
@@ -392,11 +466,11 @@ class Coefficient:
             raise ZeroDivisionError("zero denominator")
         if not reduced:
             if not num:
-                den = {_zexp(den): 1}
-            elif len(den) == 1 and not any(z := next(iter(den))):
+                den = {0: 1}
+            elif pp_is_const(den):
                 # constant denominator: already coprime to num, only make it
                 # monic (pp_gcd would return 1 without charging any work)
-                num, den = _monic_den(p, num, den, den[z])
+                num, den = _monic_den(p, num, den, den[0])
             else:
                 g = pp_gcd(num, den, p)
                 if not pp_is_const(g):
@@ -410,17 +484,17 @@ class Coefficient:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, p: int, nparams: int) -> "Coefficient":
-        return cls(p, {}, {(0,) * nparams: 1}, reduced=True)
+    def zero(cls, p: int) -> "Coefficient":
+        return cls(p, {}, {0: 1}, reduced=True)
 
     @classmethod
-    def from_const(cls, c: int, p: int, nparams: int) -> "Coefficient":
-        return cls(p, pp_const(c, p, nparams), {(0,) * nparams: 1}, reduced=True)
+    def from_const(cls, c: int, p: int) -> "Coefficient":
+        return cls(p, pp_const(c, p), {0: 1}, reduced=True)
 
     @classmethod
-    def from_param(cls, i: int, p: int, nparams: int) -> "Coefficient":
-        e = tuple(1 if j == i else 0 for j in range(nparams))
-        return cls(p, {e: 1}, {(0,) * nparams: 1}, reduced=True)
+    def from_param(cls, i: int, p: int) -> "Coefficient":
+        """Parameter i, whose key is _unit(i)."""
+        return cls(p, {_unit(i): 1}, {0: 1}, reduced=True)
 
     # -- predicates ----------------------------------------------------------
 
@@ -523,10 +597,6 @@ class Coefficient:
         return f"{ns}/{ds}"
 
 
-def _zexp(a: PP):
-    return (0,) * len(next(iter(a)))
-
-
 def _cross(p: int, a: PP, b: PP, c: PP, d: PP) -> Coefficient:
     """(a/b)(c/d) in canonical form, for nonzero a/b and c/d in lowest terms
     with b monic (Henrici; Knuth, TAOCP 2, 4.5.1).
@@ -538,13 +608,13 @@ def _cross(p: int, a: PP, b: PP, c: PP, d: PP) -> Coefficient:
     outright.  b and both gcds are monic, so the leading coefficient of the
     new denominator is d's.
 
-    When b and d are both 1, the product is (a*c)/1 with nothing to cancel
-    or rescale.  That case charges len(a)*len(c) + 1 units, what the two
-    pp_mul calls of the general path charge, so budgets trip at the same
-    step either way."""
-    if d == b and pp_is_const(b):
+    When b and d are both constants, b is 1 (monic) and the product is
+    (a*c*d^-1)/1 with nothing to cancel.  That case charges
+    len(a)*len(c) + 1 units, what the two pp_mul calls of the general path
+    charge, so budgets trip at the same step either way."""
+    if pp_is_const(b) and pp_is_const(d):
         _WORK.n += 1
-        return Coefficient(p, pp_mul(a, c, p), b, reduced=True)
+        return Coefficient(p, pp_scale(pp_mul(a, c, p), pow(d[0], -1, p), p), b, reduced=True)
     if not pp_is_const(d):
         g = pp_gcd(a, d, p)
         if not pp_is_const(g):
@@ -572,12 +642,12 @@ def format_pp(a: PP, names) -> str:
     if not a:
         return "0"
     parts = []
-    for e in sorted(a, key=grevlex_rkey):
+    for e in sorted(a):
         c = a[e]
         factors = []
-        if c != 1 or not any(e):
+        if c != 1 or e == 0:
             factors.append(str(c))
-        for i, x in enumerate(e):
+        for i, x in enumerate(_exponents(e)):
             if x == 0:
                 continue
             nm = names[i] if names else f"p{i}"
@@ -663,7 +733,7 @@ class FractionDomain:
     operator or by method name, so a wrapper installed on Coefficient sees
     each call."""
 
-    __slots__ = ("p", "nparams", "zero", "one")
+    __slots__ = ("p", "zero", "one")
 
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
@@ -675,17 +745,16 @@ class FractionDomain:
     is_one = staticmethod(methodcaller("is_one"))
     pth_root = staticmethod(methodcaller("pth_root"))
 
-    def __init__(self, p: int, nparams: int):
+    def __init__(self, p: int):
         self.p = p
-        self.nparams = nparams
-        self.zero = Coefficient.zero(p, nparams)
-        self.one = Coefficient.from_const(1, p, nparams)
+        self.zero = Coefficient.zero(p)
+        self.one = Coefficient.from_const(1, p)
 
     def const(self, c: int) -> Coefficient:
-        return Coefficient.from_const(c, self.p, self.nparams)
+        return Coefficient.from_const(c, self.p)
 
     def param(self, i: int) -> Coefficient:
-        return Coefficient.from_param(i, self.p, self.nparams)
+        return Coefficient.from_param(i, self.p)
 
     def clear_denominators(self, terms: dict) -> dict:
         """The coefficients of terms times the lcm of their denominators, all
@@ -701,7 +770,7 @@ class FractionDomain:
                 lcm = pp_mul(lcm, pp_divexact(c.den, pp_gcd(lcm, c.den, p), p), p)
         if lcm is None:
             return terms
-        one = {(0,) * self.nparams: 1}
+        one = {0: 1}
         return {
             e: Coefficient(p, pp_mul(c.num, pp_divexact(lcm, c.den, p), p), one, reduced=True)
             for e, c in terms.items()
@@ -745,7 +814,9 @@ class RingContext:
             raise ValueError("one weight per geometric variable required")
         if any(w < 1 for w in self.weights):
             raise ValueError("weights must be positive")
-        domain = FractionDomain(self.p, len(self.params)) if self.params else FpDomain(self.p)
+        if len(self.params) > MAX_PARAMS:
+            raise ValueError(f"{len(self.params)} parameters are too many (at most {MAX_PARAMS})")
+        domain = FractionDomain(self.p) if self.params else FpDomain(self.p)
         object.__setattr__(self, "domain", domain)
 
     # -- lookups -------------------------------------------------------------

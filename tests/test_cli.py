@@ -171,6 +171,17 @@ def test_groebner_pair_budget(tmp_path, capsys):
     assert "inconclusive" in capsys.readouterr().err
 
 
+def test_groebner_parameter_degree_overflow_is_inconclusive(tmp_path, capsys):
+    # each generator parses, but the basis needs s^36000, beyond the
+    # coefficient kernel's degree cap: a resource limit, exit 2
+    ring, ideal = _write_ideal(
+        tmp_path, "ring p=3 geom x y params s", ["s^12000*x - 1", "s^12000*y - 1", "x*y - s^12000"]
+    )
+    assert main(["groebner", "--ring", ring, "--ideal", ideal]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "inconclusive: parameter degree above 32767\n")
+
+
 def test_groebner_missing_ring(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing here\n")
@@ -216,6 +227,9 @@ def test_groebner_exact_output_over_f7(tmp_path, capsys, order, want):
     ("ring p=2305843009213693951 geom x y", ["x"], "ring",
      "characteristic 2305843009213693951 is too large (must be below 2^31)"),
     ("ring p=3 geom x:a y", ["x"], "ring", "the weight of x must be an integer, got 'a'"),
+    ("ring p=3 geom x params " + " ".join(f"s{i}" for i in range(17)), ["x"], "ring",
+     "17 parameters are too many (at most 16)"),
+    ("ring p=3 geom x y params s", ["s^40000*x"], "ideal", "parameter exponent 40000 is above 32767"),
 ])
 def test_groebner_rejects_bad_input_in_one_line(tmp_path, capsys, ring_line, polys, bad, reason):
     ring, ideal = _write_ideal(tmp_path, ring_line or "ring p=3 geom x y", polys or ["x"])

@@ -1,5 +1,7 @@
 """Text grammar: expressions, ring declarations, model declarations."""
 
+import re
+
 import pytest
 
 from dpv.catalogue import _record
@@ -64,6 +66,19 @@ def test_expression_errors():
     for bad in ["x +", "(x", "x ** 2", "w", "x^", "x^\u0663", "\u0662*x"]:
         with pytest.raises((ValueError, KeyError, SyntaxError)):
             parse_poly(ring, bad)
+
+
+def test_parameter_degree_cap():
+    # parameter monomials are packed with a degree cap of 2^15 - 1: a larger
+    # parameter exponent is rejected before any power is built, a product
+    # past the cap is rejected too, and geometric exponents have no cap
+    ring = parse_ring("ring p=3 geom x y params s t")
+    for text, reason in (("s^40000*x", "parameter exponent 40000 is above 32767"),
+                         ("(x+t)^32768", "parameter exponent 32768 is above 32767"),
+                         ("s^12000*s^12000*s^12000", "parameter degree above 32767")):
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            parse_poly(ring, text)
+    assert str(parse_poly(ring, "s^12000*t^12000*x^40000")) == "s^12000*t^12000*x^40000"
 
 
 def test_ideal_lines():

@@ -566,6 +566,22 @@ hypersurface u*(x^2+s*z^2)+v*(y^2+t*z^2)
 """
 
 
+def test_a_parameter_degree_overflow_leaves_its_chart_undecided():
+    # the coefficient kernel's degree cap is a resource limit like a tripped
+    # budget: that chart is undecided, with the limit's message, and the
+    # other charts are still decided
+    plane = build(PLANE, "plane")
+    big = parse_poly(plane.ring, "s^12000")
+
+    def decide(chart):
+        return chart.name != "D+(y)" or (big * big * big).is_zero()
+
+    charts = chart_by_chart(plane.charts, decide)
+    assert _units(charts) == [("D+(x)", True), ("D+(y)", None), ("D+(z)", True)]
+    assert charts[1].limit == "parameter degree above 32767"
+    assert scheme.every_chart(charts) is None
+
+
 def _units(charts):
     # (chart, whether its ideal is the unit ideal; None when undecided)
     return [(v.chart, v.value) for v in charts]
