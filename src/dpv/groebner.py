@@ -1,25 +1,28 @@
 """Buchberger engine over F_p(params) with explicit resource limits.
 
-Pair selection is the normal strategy (minimal lcm total degree, ties broken
-by lexicographic pair index), pairs are discarded by the coprimality and
-chain criteria, and exceeding a resource cap raises Inconclusive rather than
-ever returning a wrong basis.  Reduced bases are monic and sorted by
-descending leading monomial, so results are canonical for a given order.
+Monomials are packed keys (ring.pack): a product or quotient of monomials is
+a sum or difference of keys.  Pair selection is the normal strategy (minimal
+lcm total degree, ties broken by lexicographic pair index), pairs are
+discarded by the coprimality and chain criteria, and exceeding a resource
+cap raises Inconclusive rather than ever returning a wrong basis.  Reduced
+bases are monic and sorted by descending leading monomial, so results are
+canonical for a given order.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import os
 from dataclasses import dataclass
-from operator import add, le, mul, sub
+from heapq import heapify, heappop, heappush
+from operator import mul
 
 from .orders import MonomialOrder, elimination, grevlex
 from .poly import Polynomial
-# Inconclusive lives in ring, whose kernel raises it on a parameter degree
-# overflow; it is re-exported here beside the limits that raise it
-from .ring import Inconclusive, RingContext, work_done
+# Inconclusive lives in ring, whose kernel raises it on a degree overflow;
+# it is re-exported here beside the limits that raise it
+from .ring import (Inconclusive, RingContext, check_degree, degree, divides, lcm, pack, unpack,
+                   used_slots, work_done)
 
 DEFAULT_PAIR_LIMIT = 10**6
 
@@ -78,14 +81,6 @@ class Budget:
             raise Inconclusive("work budget exceeded")
 
 
-def monomial_divides(a, b) -> bool:
-    return all(map(le, a, b))
-
-
-def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def make_monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
     dom = f.ring.domain
     _, lc = f.lead(order)
@@ -104,10 +99,13 @@ def reduce(
     Passing Limits applies its work budget to this one reduction.
 
     Heap division (Monagan & Pearce): live terms sit in a dict and their
-    monomials in a min-heap on order.rkey, so the leading live term is a pop
-    rather than a scan.  Entries whose monomial has left the dict (cancelled,
-    or a duplicate of a processed term) are skipped on pop; this is exact
-    because every new term is smaller than the term being reduced.
+    monomials in a min-heap on order.rkey (under grevlex, the keys), so the
+    leading live term is a pop rather than a scan.  Entries whose monomial
+    has left the dict (cancelled, or a duplicate of a processed term) are
+    skipped on pop; this is exact because every new term is smaller than the
+    term being reduced.  Each step checks the degree of its highest new
+    term, delta times the divisor's least key: under lex a new term can
+    outgrow the one it replaces.
 
     Coefficient arithmetic goes through the ring's domain (ints mod p, or
     fractions), bound to locals once per call."""
@@ -115,41 +113,51 @@ def reduce(
         budget = Budget(budget.max_steps)
     ring = f.ring
     dom = ring.domain
-    # coefficient operations; add and sub stay the exponent-vector ones
     csub, cmul, cdiv, cneg, czero = dom.sub, dom.mul, dom.div, dom.neg, dom.is_zero
-    rkey = order.rkey
     data = []
     for g in basis:
         if g.is_zero():
             continue
         lm, lc = g.lead(order)
-        data.append((lm, lc, [(ge, gc) for ge, gc in g.terms.items() if ge != lm]))
+        data.append((lm, lc, min(g.terms), [(ge, gc) for ge, gc in g.terms.items() if ge != lm]))
     work = dict(f.terms)
-    heap = [(rkey(e), e) for e in work]
-    heapq.heapify(heap)
+    if order.kind == "grevlex":
+        heap, push, pop = list(work), heappush, heappop
+    else:
+        rkey = order.rkey
+        heap = [(rkey(e), e) for e in work]
+
+        def push(h, e):
+            heappush(h, (rkey(e), e))
+
+        def pop(h):
+            return heappop(h)[1]
+
+    heapify(heap)
     remainder: dict = {}
     while work:
         if budget is not None:
             budget.charge(len(work) + 1)
-        e = heapq.heappop(heap)[1]
+        e = pop(heap)
         while e not in work:
-            e = heapq.heappop(heap)[1]
+            e = pop(heap)
         c = work.pop(e)
-        for lm, lc, tail in data:
-            if monomial_divides(lm, e):
+        for lm, lc, top, tail in data:
+            if divides(lm, e):
                 break
         else:
             remainder[e] = c
             continue
         factor = cdiv(c, lc)
-        delta = tuple(map(sub, e, lm))
+        delta = e - lm
+        check_degree(delta + top, "geometric")
         for ge, gc in tail:
-            ne = tuple(map(add, ge, delta))
+            ne = ge + delta
             v = cmul(factor, gc)
             old = work.get(ne)
             if old is None:
                 work[ne] = cneg(v)
-                heapq.heappush(heap, (rkey(ne), ne))
+                push(heap, ne)
                 continue
             v = csub(old, v)
             if czero(v):
@@ -163,12 +171,10 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     ring = f.ring
     lmf, lcf = f.lead(order)
     lmg, lcg = g.lead(order)
-    L = monomial_lcm(lmf, lmg)
-    af = tuple(x - y for x, y in zip(L, lmf))
-    ag = tuple(x - y for x, y in zip(L, lmg))
+    L = lcm(lmf, lmg)
     dom = ring.domain
-    mf = Polynomial(ring, {af: dom.div(dom.one, lcf)})
-    mg = Polynomial(ring, {ag: dom.div(dom.one, lcg)})
+    mf = Polynomial(ring, {L - lmf: dom.div(dom.one, lcf)})
+    mg = Polynomial(ring, {L - lmg: dom.div(dom.one, lcg)})
     return mf * f - mg * g
 
 
@@ -204,26 +210,25 @@ def buchberger(
     pending: set[tuple[int, int]] = set()
     heap: list = []
     for i, j in itertools.combinations(range(len(G)), 2):
-        L = monomial_lcm(leads[i], leads[j])
         pending.add((i, j))
-        heapq.heappush(heap, (sum(L), (i, j)))
+        heappush(heap, (degree(lcm(leads[i], leads[j])), (i, j)))
 
     processed = 0
     while heap:
-        _, (i, j) = heapq.heappop(heap)
+        _, (i, j) = heappop(heap)
         pending.discard((i, j))
         processed += 1
         if processed > limits.max_pairs:
             raise Inconclusive(f"pair limit {limits.max_pairs} exceeded")
         lmi, lmj = leads[i], leads[j]
-        L = monomial_lcm(lmi, lmj)
-        if L == tuple(x + y for x, y in zip(lmi, lmj)):
+        L = lcm(lmi, lmj)
+        if L == lmi + lmj:
             continue  # coprime leading monomials
         skip = False
         for k in range(len(G)):
             if k == i or k == j:
                 continue
-            if not monomial_divides(leads[k], L):
+            if not divides(leads[k], L):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -243,9 +248,8 @@ def buchberger(
         leads.append(h.lead(order)[0])
         t = len(G) - 1
         for i2 in range(t):
-            L2 = monomial_lcm(leads[i2], leads[t])
             pending.add((i2, t))
-            heapq.heappush(heap, (sum(L2), (i2, t)))
+            heappush(heap, (degree(lcm(leads[i2], leads[t])), (i2, t)))
 
     return _interreduce(G, order, budget)
 
@@ -258,9 +262,9 @@ def _interreduce(
     pairs = sorted(
         ((g.lead(order)[0], g) for g in G), key=lambda t: order.rkey(t[0]), reverse=True
     )
-    kept: list[tuple[tuple, Polynomial]] = []
+    kept: list[tuple[int, Polynomial]] = []
     for lm, g in pairs:
-        if any(monomial_divides(klm, lm) for klm, _ in kept):
+        if any(divides(klm, lm) for klm, _ in kept):
             continue
         kept.append((lm, g))
     polys = [g for _, g in kept]
@@ -309,9 +313,9 @@ def saturate(
     if not nonzero:
         return []
     lifted, big = _with_inverse(nonzero, f)
-    ti = big.ngeom - 1
-    G = buchberger(lifted, elimination(big.ngeom, (ti,)), limits)
-    return [h.change_ring(f.ring) for h in G if all(e[ti] == 0 for e in h.terms)]
+    t = big.geom[-1]
+    G = buchberger(lifted, elimination(big.ngeom, (big.ngeom - 1,)), limits)
+    return [h.change_ring(f.ring) for h in G if t not in h.support()]
 
 
 def dimension(
@@ -332,7 +336,7 @@ def dimension_of_basis(G: list[Polynomial], n: int, order: MonomialOrder) -> int
     variable set independent modulo the initial ideal.  G may be a basis of
     any ideal with the same radical, since the dimension depends only on the
     zero set (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 9.3)."""
-    supports = [frozenset(i for i, x in enumerate(g.lead(order)[0]) if x) for g in G]
+    supports = [frozenset(i for i, x in enumerate(unpack(g.lead(order)[0], n)) if x) for g in G]
     for size in range(n, -1, -1):
         for combo in itertools.combinations(range(n), size):
             s = frozenset(combo)
@@ -359,20 +363,16 @@ def degree_of_basis(G: list[Polynomial], n: int, order: MonomialOrder) -> int:
     if len(G) == 1 and G[0].is_constant():
         return 0
     leads = [g.lead(order)[0] for g in G]
-    caps = [None] * n
+    caps: dict[int, int] = {}  # slot i of a standard monomial is below caps[i]
     for lm in leads:
-        nz = [i for i, x in enumerate(lm) if x]
-        if len(nz) == 1:
-            i = nz[0]
-            if caps[i] is None or lm[i] < caps[i]:
-                caps[i] = lm[i]
-    if any(c is None for c in caps):
+        used = used_slots([lm])
+        if len(used) == 1:  # a pure power x_i^d
+            i, d = used[0], degree(lm)
+            caps[i] = min(d, caps.get(i, d))
+    if len(caps) < n:
         raise ValueError("ideal is not zero-dimensional")
-    count = 0
-    for mono in itertools.product(*(range(c) for c in caps)):
-        if not any(monomial_divides(lm, mono) for lm in leads):
-            count += 1
-    return count
+    monos = itertools.product(*(range(caps[i]) for i in range(n)))
+    return sum(not any(divides(lm, pack(e)) for lm in leads) for e in monos)
 
 
 def projective_is_empty(gens: list[Polynomial], limits: Limits | None = None) -> bool:
@@ -388,7 +388,8 @@ def projective_is_empty(gens: list[Polynomial], limits: Limits | None = None) ->
     if not gens:
         return False  # the zero ideal cuts out the whole (nonempty) space
     ring = gens[0].ring
+    n = ring.ngeom
     for g in gens:
-        if len({sum(map(mul, e, ring.weights)) for e in g.terms}) > 1:
+        if len({sum(map(mul, unpack(e, n), ring.weights)) for e in g.terms}) > 1:
             raise ValueError(f"{g} is not weighted-homogeneous")
     return dimension(gens, ring, limits=limits) <= 0

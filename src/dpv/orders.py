@@ -1,10 +1,11 @@
-"""Monomial orders on geometric exponent tuples.
+"""Monomial orders on packed geometric monomials (ring.pack).
 
 grevlex is the default everywhere; lex and block elimination orders exist
 only because variable elimination needs them.
 
 Each order has one sort key, MonomialOrder.rkey, and it sorts the largest
-monomial first.
+monomial first.  Under grevlex the packed key is its own rkey; lex and elim
+build theirs from the exponents.
 """
 
 from __future__ import annotations
@@ -13,11 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import neg
 
-
-def grevlex_rkey(e):
-    """grevlex's key: ascending rkey is descending grevlex (higher degree
-    first, then the smaller last exponent)."""
-    return (-sum(e), e[::-1])
+from .ring import unit, unpack
 
 
 @dataclass(frozen=True)
@@ -37,19 +34,18 @@ class MonomialOrder:
         so min(terms, key=rkey) is the leading monomial and a min-heap of
         rkeys pops the largest monomial first."""
         if self.kind == "grevlex":
-            return grevlex_rkey(e)
+            return e
+        x = unpack(e, self.n)
         if self.kind == "lex":
-            return tuple(map(neg, e))
-        eb, rest = self._split(e)
-        return (grevlex_rkey(eb), grevlex_rkey(rest))
+            return tuple(map(neg, x))
+        # grevlex on the block's slots, then on the others: zeros in the
+        # slots left out do not change a grevlex comparison
+        block = sum(x[i] * u for i, u in self._block_units)
+        return (block, e - block)
 
     @cached_property
-    def _rest(self):
-        return tuple(i for i in range(self.n) if i not in self.block)
-
-    def _split(self, e):
-        """(block exponents, the other exponents) for an "elim" order."""
-        return tuple(e[i] for i in self.block), tuple(e[i] for i in self._rest)
+    def _block_units(self):
+        return tuple((i, unit(i)) for i in self.block)
 
 
 def grevlex(n: int) -> MonomialOrder:

@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 
 from .poly import Polynomial
-from .ring import MAX_PARAM_DEGREE, Inconclusive, RingContext
+from .ring import MAX_DEGREE, Inconclusive, RingContext
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_']*|[0-9]+|\^|\+|\-|\*|/|\(|\))")
 
@@ -110,10 +110,13 @@ class _ExprParser:
             if n is None or not n.isdigit():
                 raise ValueError("exponent must be a nonnegative integer")
             n = int(n)
-            # a parameter degree above the packed-key limit would only fail
-            # inside the power, after building the powers below it
-            if n > MAX_PARAM_DEGREE and set(self.toks[start : self.i]) & set(self.ring.params):
-                raise ValueError(f"parameter exponent {n} is above {MAX_PARAM_DEGREE}")
+            # a degree above the packed-key limit would only fail inside the
+            # power, after building the powers below it; a constant base
+            # has degree 0 whatever the exponent
+            base = set(self.toks[start : self.i])
+            if n > MAX_DEGREE and base & set(self.ring.geom + self.ring.params):
+                sort = "parameter" if base & set(self.ring.params) else "geometric"
+                raise ValueError(f"{sort} exponent {n} is above {MAX_DEGREE}")
             f = f**n
         return f
 
@@ -141,9 +144,9 @@ def _integer(word: str, what: str) -> int:
 
 
 def parse_poly(ring: RingContext, text: str) -> Polynomial:
-    """The polynomial the text denotes.  Text whose parameter degree
-    overflows the coefficient kernel (see ring.MAX_PARAM_DEGREE) is rejected
-    input: ValueError, not the kernel's Inconclusive."""
+    """The polynomial the text denotes.  Text whose degree in either sort
+    of variable overflows a packed monomial (see ring.MAX_DEGREE) is
+    rejected input: ValueError, not the kernel's Inconclusive."""
     try:
         return _ExprParser(ring, tokenize(text)).parse()
     except Inconclusive as exc:

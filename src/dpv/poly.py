@@ -1,8 +1,11 @@
 """Sparse multivariate polynomials in geometric variables over F_p(params).
 
-Terms map geometric exponent tuples to coefficients of the ring's domain
-(ring.domain): plain ints mod p in a ring without parameters, Coefficient
-fractions otherwise.  Every coefficient operation goes through the domain.
+Terms map packed geometric monomials (ring.pack: one int each, the constant
+monomial 0, the variable of slot i ring.unit(i)) to coefficients of the
+ring's domain (ring.domain): plain ints mod p in a ring without parameters,
+Coefficient fractions otherwise.  A product's key is the sum of its
+factors' keys, and the least key is the grevlex lead.  Every coefficient
+operation goes through the domain.
 Derivations exist for both variable sorts: geometric variables differentiate
 the monomials, parameter variables differentiate the coefficients by the
 quotient rule.  Characteristic-p annihilation (d/dx of x^p) falls out of the
@@ -11,15 +14,15 @@ mod-p arithmetic.
 
 from __future__ import annotations
 
-from .orders import grevlex_rkey
-from .ring import Coefficient, RingContext
+from .ring import (Coefficient, RingContext, check_degree, degree, format_terms, pack,
+                   terms_pth_root, unit, unpack, used_slots)
 
 class Polynomial:
     __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring: RingContext, terms: dict):
-        """terms maps exponent tuples to nonzero coefficients of ring.domain;
-        it is kept as given, not copied or filtered."""
+        """terms maps packed monomials to nonzero coefficients of
+        ring.domain; it is kept as given, not copied or filtered."""
         self.ring = ring
         self.terms = terms
         self._lead = None
@@ -40,14 +43,12 @@ class Polynomial:
             c = ring.coeff(c)
         if ring.domain.is_zero(c):
             return cls.zero(ring)
-        return cls(ring, {(0,) * ring.ngeom: c})
+        return cls(ring, {0: c})
 
     @classmethod
     def variable(cls, ring: RingContext, name: str) -> "Polynomial":
         if name in ring.geom:
-            i = ring.geom_index(name)
-            e = tuple(1 if j == i else 0 for j in range(ring.ngeom))
-            return cls(ring, {e: ring.coeff(1)})
+            return cls(ring, {unit(ring.geom_index(name)): ring.coeff(1)})
         return cls.constant(ring, ring.coeff_param(name))
 
     # -- predicates ----------------------------------------------------------
@@ -56,10 +57,10 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return self.terms.keys() <= {0}
 
     def constant_coefficient(self):
-        return self.terms.get((0,) * self.ring.ngeom, self.ring.domain.zero)
+        return self.terms.get(0, self.ring.domain.zero)
 
     def is_unit_constant(self) -> bool:
         return self.is_constant() and not self.is_zero()
@@ -131,11 +132,14 @@ class Polynomial:
             return Polynomial(self.ring, {e: mul(v, c) for e, v in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
+        a, b = self.terms, other.terms
+        if a and b:  # the product's lead is the product of the leads
+            check_degree(min(a) + min(b), "geometric")
         add, is_zero = dom.add, dom.is_zero
         out: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = ea + eb
                 v = mul(ca, cb)
                 old = out.get(e)
                 v = v if old is None else add(old, v)
@@ -155,8 +159,9 @@ class Polynomial:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def clear_denominators(self) -> "Polynomial":
@@ -175,9 +180,10 @@ class Polynomial:
         dom = ring.domain
         if name in ring.geom:
             i = ring.geom_index(name)
+            u = unit(i)
             out: dict = {}
             for e, c in self.terms.items():
-                k = e[i]
+                k = unpack(e, i + 1)[i]
                 if k == 0:
                     continue
                 v = dom.mul(c, dom.const(k))
@@ -185,7 +191,7 @@ class Polynomial:
                     continue
                 # lowering slot i is injective on terms with e[i] > 0: no
                 # two terms meet, so nothing merges
-                out[e[:i] + (k - 1,) + e[i + 1 :]] = v
+                out[e - u] = v
             return Polynomial(ring, out)
         j = ring.param_index(name)
         out = {}
@@ -200,17 +206,8 @@ class Polynomial:
         p-th power (a geometric exponent not divisible by p, or a
         coefficient that is no p-th power in F_p(params))."""
         ring = self.ring
-        p = ring.p
-        root = ring.domain.pth_root
-        out: dict = {}
-        for e, c in self.terms.items():
-            if any(x % p for x in e):
-                return None
-            r = root(c)
-            if r is None:
-                return None
-            out[tuple(x // p for x in e)] = r
-        return Polynomial(ring, out)
+        out = terms_pth_root(self.terms, ring.p, ring.domain.pth_root)
+        return None if out is None else Polynomial(ring, out)
 
     # -- substitution ----------------------------------------------------------
 
@@ -238,12 +235,14 @@ class Polynomial:
             images.append(val)
         # group the terms by their exponents in the mapped slots; the rest of
         # each term moves into the target ring unchanged
+        units = [unit(i) for i in slots]
+        n = ring.ngeom
         groups: dict[tuple[int, ...], dict] = {}
         for e, c in self.terms.items():
-            rest = list(e)
-            for i in slots:
-                rest[i] = 0
-            groups.setdefault(tuple(e[i] for i in slots), {})[tuple(rest)] = c
+            x = unpack(e, n)
+            key = tuple(x[i] for i in slots)
+            rest = e - sum(k * u for k, u in zip(key, units))
+            groups.setdefault(key, {})[rest] = c
         # change_ring checks p and the parameters, also when f is zero
         result = Polynomial.zero(ring).change_ring(target_ring)
         for key, terms in groups.items():
@@ -258,23 +257,17 @@ class Polynomial:
         """The same polynomial in a ring over the same base field: ring must
         have f's p and parameters (else ValueError), and every geometric
         variable f uses must exist in ring by name (else KeyError).  Only the
-        exponent tuples are re-indexed; the coefficient objects are kept as
+        monomial keys are re-indexed; the coefficient objects are kept as
         they are, so an embedding or projection costs no work units."""
         src = self.ring
         if ring.p != src.p or ring.params != src.params:
             raise ValueError("change_ring keeps the characteristic and the parameters")
-        moves = [
-            (i, ring.geom_index(name))
-            for i, name in enumerate(src.geom)
-            if any(e[i] for e in self.terms)
-        ]
-        n = ring.ngeom
+        moves = [(src.geom_index(v), unit(ring.geom_index(v))) for v in self.support()]
+        n = src.ngeom
         out = {}
         for e, c in self.terms.items():
-            ne = [0] * n
-            for i, j in moves:
-                ne[j] = e[i]
-            out[tuple(ne)] = c
+            x = unpack(e, n)
+            out[sum(x[i] * u for i, u in moves)] = c
         return Polynomial(ring, out)
 
     def dehomogenize(self, name: str) -> "Polynomial":
@@ -286,8 +279,10 @@ class Polynomial:
         new_ring = ring.without_geom_var(name)
         add, is_zero = ring.domain.add, ring.domain.is_zero
         out: dict = {}
+        n = ring.ngeom
         for e, c in self.terms.items():
-            ne = e[:i] + e[i + 1 :]
+            x = unpack(e, n)
+            ne = pack(x[:i] + x[i + 1 :])
             old = out.get(ne)
             v = c if old is None else add(old, c)
             if is_zero(v):
@@ -297,9 +292,12 @@ class Polynomial:
         return Polynomial(new_ring, out)
 
     def total_degree(self) -> int:
-        if self.is_zero():
-            return 0
-        return max(sum(e) for e in self.terms)
+        """The degree of the grevlex lead, the least key; 0 for zero."""
+        return degree(min(self.terms)) if self.terms else 0
+
+    def support(self) -> tuple[str, ...]:
+        """The geometric variables that occur in f, in ring order."""
+        return tuple(self.ring.geom[i] for i in used_slots(self.terms))
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -314,29 +312,9 @@ class Polynomial:
         return hash((self.ring, frozenset(self.terms.items())))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        names = self.ring.params
-        dom = self.ring.domain
-        parts = []
-        for e in sorted(self.terms, key=grevlex_rkey):
-            c = self.terms[e]
-            mono = []
-            for i, x in enumerate(e):
-                if x == 0:
-                    continue
-                nm = self.ring.geom[i]
-                mono.append(nm if x == 1 else f"{nm}^{x}")
-            cs = dom.format(c, names)
-            if not mono:
-                parts.append(cs)
-            elif dom.is_one(c):
-                parts.append("*".join(mono))
-            else:
-                if "+" in cs or ("/" in cs and not cs.startswith("(")):
-                    cs = f"({cs})"
-                parts.append("*".join([cs] + mono))
-        return " + ".join(parts)
+        ring = self.ring
+        dom = ring.domain
+        return format_terms(self.terms, ring.geom, lambda c: dom.format(c, ring.params), dom.is_one)
 
     def __repr__(self):
         return f"Polynomial({self})"

@@ -14,6 +14,9 @@ holds one coefficient domain, chosen by its number of parameters:
   Constants and parameter polynomials are fractions with denominator 1 and
   take the same arithmetic as any other fraction.
 
+Monomials of both sorts, parameter and geometric, are packed into one int
+each by one layout (see pack); the helpers that read a key's bits live here.
+
 Polynomial code talks to ring.domain, never to the coefficient type.  The
 only module-level mutable state is the per-thread work counter (work_done).
 """
@@ -26,7 +29,7 @@ import threading
 from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, zip_longest
 from operator import methodcaller, or_
 
 
@@ -65,39 +68,51 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# packed parameter monomials
+# packed monomials
 # ---------------------------------------------------------------------------
 
-# A monomial s^e is the int sum(e_i * 2^(16 i)) - deg(e) * 2^256 (_DEG_SHIFT):
-# slot i holds e_i in bits 16i..16i+15 and the degree sits above all slots.
-# The key is linear in e, so a product's key is the sum of its factors'
-# keys, and ascending keys are descending grevlex (higher degree first, then
-# the smaller last exponent), so the leading monomial is the least key.  The
-# constant monomial is 0.  Every monomial's degree stays below 2^15, so no
+# A monomial of either sort, parameter s^e or geometric x^e, is the int
+# sum(e_i * 2^(16 i)) - deg(e) * 2^256 (_DEG_SHIFT): slot i holds e_i in bits
+# 16i..16i+15 and the degree sits above all slots (Monagan & Pearce, packed
+# exponent vectors).  The key is linear in e, so a product's key is the sum
+# of its factors' keys and a quotient's key their difference, and ascending
+# keys are descending grevlex (higher degree first, then the smaller last
+# exponent), so the grevlex lead is the least key.  The constant monomial is
+# 0.  Every monomial's degree stays at most MAX_DEGREE (check_degree), so no
 # slot reaches its top bit: sums of two keys never carry between slots, and
-# the top bits serve as guard bits for the divisibility test in pp_divexact.
-MAX_PARAMS = 16
+# the top bits serve as guard bits for divides.  Only this module reads the
+# bits of a key; other modules add, subtract and compare keys.
+MAX_VARS = 16  # of each sort
 _BITS = 16
 _SLOT = (1 << _BITS) - 1
-_DEG_SHIFT = MAX_PARAMS * _BITS
+_DEG_SHIFT = MAX_VARS * _BITS
 _LOW = (1 << _DEG_SHIFT) - 1  # the slots of a key
-_GUARD = sum(1 << (_BITS * i + _BITS - 1) for i in range(MAX_PARAMS))
-MAX_PARAM_DEGREE = (1 << (_BITS - 1)) - 1
-# a key below this has degree above MAX_PARAM_DEGREE
-_FLOOR = -MAX_PARAM_DEGREE << _DEG_SHIFT
+_GUARD = sum(1 << (_BITS * i + _BITS - 1) for i in range(MAX_VARS))
+MAX_DEGREE = (1 << (_BITS - 1)) - 1
+_FLOOR = -MAX_DEGREE << _DEG_SHIFT  # a key below it has degree above MAX_DEGREE
+
+
+def check_degree(key: int, sort: str):
+    """Raise Inconclusive, naming the sort, past MAX_DEGREE: key's slots would wrap."""
+    if key < _FLOOR:
+        raise Inconclusive(f"{sort} degree above {MAX_DEGREE}")
 
 
 def pack(e) -> int:
-    """The key of the monomial with exponent tuple e (at most MAX_PARAMS
-    slots, each exponent at most MAX_PARAM_DEGREE)."""
+    """The key of the monomial with exponent tuple e (at most MAX_VARS
+    slots, each exponent at most MAX_DEGREE)."""
     return sum(x << (_BITS * i) for i, x in enumerate(e)) - (sum(e) << _DEG_SHIFT)
+
+
+# per slot count n: the mask of n slots, and their reader
+_SLOTS = [((1 << (_BITS * n)) - 1, struct.Struct(f"<{n}H").unpack) for n in range(MAX_VARS + 1)]
 
 
 def unpack(key: int, n: int) -> tuple[int, ...]:
     """The exponent tuple, n slots long, of a packed monomial: its low
     16n bits read as n little-endian unsigned 16-bit slots."""
-    low = key & ((1 << (_BITS * n)) - 1)
-    return struct.unpack(f"<{n}H", low.to_bytes(2 * n, "little"))
+    mask, read = _SLOTS[n]
+    return read((key & mask).to_bytes(2 * n, "little"))
 
 
 def _exponents(key: int) -> tuple[int, ...]:
@@ -107,20 +122,52 @@ def _exponents(key: int) -> tuple[int, ...]:
     return unpack(low, (low.bit_length() + _BITS - 1) // _BITS)
 
 
-def _unit(i: int) -> int:
-    """Key difference of raising slot i by one: a key plus d * _unit(i) has
-    slot i and the degree both raised by d."""
+def unit(i: int) -> int:
+    """The key of the i-th variable: a key plus d * unit(i) has slot i and
+    the degree both raised by d."""
     return (1 << (_BITS * i)) - (1 << _DEG_SHIFT)
 
 
-def _degree(key: int) -> int:
+def degree(key: int) -> int:
     return -(key >> _DEG_SHIFT)
 
 
-def _divides(a: int, b: int) -> bool:
+def divides(a: int, b: int) -> bool:
     """Monomial a divides monomial b: subtracting a's slots from b's, each
-    with its guard bit set, clears no guard bit."""
-    return ((b & _LOW | _GUARD) - (a & _LOW)) & _GUARD == _GUARD
+    with its guard bit set, clears no guard bit.  The degrees sit above
+    the slots, so whole keys can be subtracted."""
+    return (b - a + _GUARD) & _GUARD == _GUARD
+
+
+def lcm(a: int, b: int) -> int:
+    """The least common multiple of two monomials: slot-wise maxima."""
+    return pack([max(x, y) for x, y in zip_longest(_exponents(a), _exponents(b), fillvalue=0)])
+
+
+def used_slots(keys) -> list[int]:
+    """The slots that occur in some key: the nonzero slots of one OR over
+    all keys."""
+    return [i for i, x in enumerate(_exponents(reduce(or_, keys, 0))) if x]
+
+
+def format_terms(terms: dict, names, fmt=str, is_one=(1).__eq__) -> str:
+    """A sum of terms (key -> coefficient) as text, in descending grevlex.
+    Slot i is named names[i], or p{i} without names; fmt writes a
+    coefficient, which a monomial drops when it is one (is_one) and
+    otherwise puts in parentheses when it is compound."""
+    names = names or [f"p{i}" for i in range(MAX_VARS)]
+    parts = []
+    for e in sorted(terms):
+        c = terms[e]
+        mono = "*".join([names[i] if x == 1 else f"{names[i]}^{x}" for i, x in enumerate(_exponents(e)) if x])
+        if mono and is_one(c):
+            parts.append(mono)
+            continue
+        cs = fmt(c)
+        if mono and ("+" in cs or ("/" in cs and not cs.startswith("("))):
+            cs = f"({cs})"
+        parts.append(f"{cs}*{mono}" if mono else cs)
+    return " + ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +233,11 @@ def pp_mul(a: PP, b: PP, p: int) -> PP:
     work units (see _uv_content) depend on that order.
 
     The product's leading monomial is the product of the leading monomials,
-    so its degree is known before the loop; past MAX_PARAM_DEGREE the
-    product raises Inconclusive, since a packed key would wrap."""
+    so its degree is known before the loop; past MAX_DEGREE the product
+    raises Inconclusive, since a packed key would wrap."""
     if not a or not b:
         return {}
-    if min(a) + min(b) < _FLOOR:
-        raise Inconclusive(f"parameter degree above {MAX_PARAM_DEGREE}")
+    check_degree(min(a) + min(b), "parameter")
     _WORK.n += len(a) * len(b)
     out: PP = {}
     get = out.get
@@ -241,7 +287,7 @@ def pp_divexact(a: PP, b: PP, p: int) -> PP:
         rc = r.pop(re, 0)
         if not rc:
             continue
-        if not _divides(be, re):
+        if not divides(be, re):
             raise ArithmeticError("inexact parameter polynomial division")
         de = re - be
         qc = rc * binv % p
@@ -264,7 +310,7 @@ def pp_divexact(a: PP, b: PP, p: int) -> PP:
 
 def pp_diff(a: PP, i: int, p: int) -> PP:
     out: PP = {}
-    shift, unit = _BITS * i, _unit(i)
+    shift, u = _BITS * i, unit(i)
     for e, c in a.items():
         x = (e & _LOW) >> shift & _SLOT
         if x == 0:
@@ -273,44 +319,42 @@ def pp_diff(a: PP, i: int, p: int) -> PP:
         if v:
             # lowering slot i is injective on terms with e[i] > 0: no two
             # terms meet, so nothing merges
-            out[e - unit] = v
+            out[e - u] = v
     return out
 
 
-def pp_pth_root(a: PP, p: int) -> PP | None:
-    """The r with r^p == a, or None when some exponent is not divisible by
-    p.  Coefficients pass unchanged, since c^p = c for c in F_p; a key whose
-    slots are all divisible by p is p times its root's key."""
-    out: PP = {}
-    for e, c in a.items():
+def terms_pth_root(terms: dict, p: int, root=None) -> dict | None:
+    """The r with r^p == the sum of terms (key -> coefficient), or None: a
+    key is p times its root's key when p divides all its exponents, and a
+    coefficient c has root(c) (None off the p-th powers), or c without root,
+    since c^p = c for c in F_p."""
+    out: dict = {}
+    for e, c in terms.items():
         if any(x % p for x in _exponents(e)):
             return None
-        out[e // p] = c
+        r = c if root is None else root(c)
+        if r is None:
+            return None
+        out[e // p] = r
     return out
-
-
-def _support_vars(a: PP, b: PP) -> list[int]:
-    """The parameter slots that occur in a or b: the nonzero slots of one
-    OR over all keys."""
-    return [i for i, x in enumerate(_exponents(reduce(or_, chain(a, b)))) if x]
 
 
 def _to_univar(a: PP, i: int):
     """View a as univariate in slot i with parameter-poly coefficients."""
     out: dict[int, PP] = {}
-    shift, unit = _BITS * i, _unit(i)
+    shift, u = _BITS * i, unit(i)
     for e, c in a.items():
         d = (e & _LOW) >> shift & _SLOT
         coeff = out.setdefault(d, {})
-        coeff[e - d * unit] = c
+        coeff[e - d * u] = c
     return out
 
 
 def _from_univar(u: dict[int, PP], i: int) -> PP:
     out: PP = {}
-    unit = _unit(i)
+    ui = unit(i)
     for d, coeff in u.items():
-        raised = d * unit
+        raised = d * ui
         for e, c in coeff.items():
             # slot i of every e is 0 (see _to_univar), so each (d, e) writes
             # its own monomial
@@ -381,7 +425,7 @@ def _pp_gcd_one_var(a: PP, b: PP, i: int, p: int) -> PP:
     in slot i is then its degree."""
 
     def dense(x: PP) -> list[int]:
-        degs = [_degree(e) for e in x]
+        degs = [degree(e) for e in x]
         out = [0] * (max(degs) + 1)
         for d, c in zip(degs, x.values()):
             out[d] = c % p
@@ -392,12 +436,12 @@ def _pp_gcd_one_var(a: PP, b: PP, i: int, p: int) -> PP:
     while fb:
         fa, fb = fb, _dense_rem(fa, fb, p)
     inv = pow(fa[-1], -1, p)
-    unit = _unit(i)
+    ui = unit(i)
     out: PP = {}
     for d, c in enumerate(fa):
         v = (c * inv) % p
         if v:
-            out[d * unit] = v
+            out[d * ui] = v
     return out
 
 
@@ -412,7 +456,7 @@ def pp_gcd(a: PP, b: PP, p: int) -> PP:
         return {0: 1}
     if a == b:
         return pp_monic(a, p)
-    used = _support_vars(a, b)
+    used = used_slots(chain(a, b))
     if len(used) == 1:
         return _pp_gcd_one_var(a, b, used[0], p)
     main = used[-1]
@@ -493,8 +537,8 @@ class Coefficient:
 
     @classmethod
     def from_param(cls, i: int, p: int) -> "Coefficient":
-        """Parameter i, whose key is _unit(i)."""
-        return cls(p, {_unit(i): 1}, {0: 1}, reduced=True)
+        """Parameter i, whose key is unit(i)."""
+        return cls(p, {unit(i): 1}, {0: 1}, reduced=True)
 
     # -- predicates ----------------------------------------------------------
 
@@ -566,7 +610,7 @@ class Coefficient:
         denominator are; their roots stay coprime, and the root of a monic
         denominator is monic."""
         p = self.p
-        num, den = pp_pth_root(self.num, p), pp_pth_root(self.den, p)
+        num, den = terms_pth_root(self.num, p), terms_pth_root(self.den, p)
         if num is None or den is None:
             return None
         return Coefficient(p, num, den, reduced=True)
@@ -588,10 +632,10 @@ class Coefficient:
         return f"Coefficient({self.format(None)})"
 
     def format(self, names) -> str:
-        num = format_pp(self.num, names)
+        num = format_terms(self.num, names)
         if pp_is_const(self.den):
             return num
-        den = format_pp(self.den, names)
+        den = format_terms(self.den, names)
         ns = num if (len(self.num) == 1 and "+" not in num) else f"({num})"
         ds = den if (len(self.den) == 1 and "+" not in den) else f"({den})"
         return f"{ns}/{ds}"
@@ -636,24 +680,6 @@ def _monic_den(p: int, num: PP, den: PP, lc: int) -> tuple[PP, PP]:
         return num, den
     inv = pow(lc, -1, p)
     return pp_scale(num, inv, p), pp_scale(den, inv, p)
-
-
-def format_pp(a: PP, names) -> str:
-    if not a:
-        return "0"
-    parts = []
-    for e in sorted(a):
-        c = a[e]
-        factors = []
-        if c != 1 or e == 0:
-            factors.append(str(c))
-        for i, x in enumerate(_exponents(e)):
-            if x == 0:
-                continue
-            nm = names[i] if names else f"p{i}"
-            factors.append(nm if x == 1 else f"{nm}^{x}")
-        parts.append("*".join(factors))
-    return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -814,8 +840,9 @@ class RingContext:
             raise ValueError("one weight per geometric variable required")
         if any(w < 1 for w in self.weights):
             raise ValueError("weights must be positive")
-        if len(self.params) > MAX_PARAMS:
-            raise ValueError(f"{len(self.params)} parameters are too many (at most {MAX_PARAMS})")
+        for sort, names in (("geometric variables", self.geom), ("parameters", self.params)):
+            if len(names) > MAX_VARS:
+                raise ValueError(f"{len(names)} {sort} are too many (at most {MAX_VARS})")
         domain = FractionDomain(self.p) if self.params else FpDomain(self.p)
         object.__setattr__(self, "domain", domain)
 

@@ -74,7 +74,7 @@ from .groebner import (
 from .orders import grevlex
 from .parsing import ExtraChartDecl, ModelDecl, parse_poly
 from .poly import Polynomial
-from .ring import RingContext
+from .ring import RingContext, unpack
 
 @dataclass(frozen=True)
 class AmbientSpace:
@@ -98,7 +98,8 @@ class AmbientSpace:
         every block.  Raises ValueError when the terms of f disagree."""
         ring = self.ring
         blocks = [[ring.geom_index(v) for v in b] for b in self.factor_blocks()]
-        degs = {tuple(sum(e[i] * ring.weights[i] for i in b) for b in blocks) for e in f.terms}
+        exps = {unpack(e, ring.ngeom) for e in f.terms}
+        degs = {tuple(sum(x[i] * ring.weights[i] for i in b) for b in blocks) for x in exps}
         if len(degs) > 1:
             raise ValueError(f"{f} is not homogeneous in the ambient")
         return degs.pop() if degs else (0,) * len(blocks)
@@ -259,12 +260,10 @@ def build_model(decl: ModelDecl, model_id: str, limits: Limits | None = None) ->
 
 
 def _bare_variable(f: Polynomial) -> str | None:
-    if len(f.terms) != 1:
+    if len(f.terms) != 1 or f.total_degree() != 1:
         return None
-    (e, c), = f.terms.items()
-    if not f.ring.domain.is_one(c) or sum(e) != 1:
-        return None
-    return f.ring.geom[e.index(1)]
+    (c,) = f.terms.values()
+    return f.support()[0] if f.ring.domain.is_one(c) else None
 
 
 def _blowup_chart(c: Chart, gnum: Polynomial, gden: Polynomial, varbase: str, limits) -> Chart:
@@ -274,12 +273,8 @@ def _blowup_chart(c: Chart, gnum: Polynomial, gden: Polynomial, varbase: str, li
     bare = _bare_variable(gnum)
     eliminable = (
         bare is not None
-        and all(e[gnum.ring.geom_index(bare)] == 0 for e in gden.terms)
-        and all(
-            e[gnum.ring.geom_index(bare)] == 0
-            for g, _ in c.inverted
-            for e in g.terms
-        )
+        and bare not in gden.support()
+        and all(bare not in g.support() for g, _ in c.inverted)
     )
     if eliminable:
         # gnum is a coordinate; rewrite it as t*gden and drop the variable
@@ -603,7 +598,7 @@ def _nonzero_on_a_fibre(m: Polynomial, eqs, limits: Limits | None) -> bool:
     (Nullstellensatz), m is nonzero there, so m lies outside the radical of
     (eqs).  False decides nothing."""
     ring = m.ring
-    used = [v for i, v in enumerate(ring.geom) if any(e[i] for e in m.terms)]
+    used = m.support()
     if not 1 <= len(used) <= 2:
         return False
     fibre_ring = ring

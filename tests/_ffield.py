@@ -2,12 +2,16 @@
 
 Everything here is deliberately independent of the package internals: dense
 univariate arithmetic over F_p, an F_{p^k} implementation with log tables,
-and point-enumeration helpers used to validate emptiness verdicts.
+and point-enumeration helpers used to validate emptiness verdicts.  Only the
+bridge at the end reads engine polynomials, their exponents through
+dpv.ring.unpack.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+from dpv.ring import unpack
 
 
 # -- dense univariate polynomials over F_p (little-endian int lists) ---------
@@ -381,9 +385,9 @@ def gfu_has_root(F: GF, g) -> bool:
 
 
 def int_terms(f) -> list[tuple[tuple, int]]:
-    """Exponent/int-coefficient pairs of a parameter-free engine polynomial,
-    whose coefficients are ints mod p."""
-    return [(e, f.terms[e]) for e in sorted(f.terms)]
+    """Exponent-tuple/int-coefficient pairs of a parameter-free engine
+    polynomial, whose coefficients are ints mod p."""
+    return [(unpack(e, f.ring.ngeom), f.terms[e]) for e in sorted(f.terms)]
 
 
 def eval_terms(F: GF, terms, point) -> int:

@@ -6,7 +6,7 @@ import random
 
 from dpv.parsing import parse_ring
 from dpv.poly import Polynomial
-from dpv.ring import RingContext
+from dpv.ring import RingContext, pack
 
 VAR_NAMES = ("x", "y", "z")
 PARAM_NAMES = ("s", "t")
@@ -33,7 +33,7 @@ def random_poly(
         exps = [0] * n
         for _ in range(d):
             exps[rng.randrange(n)] += 1
-        mono = Polynomial(ring, {tuple(exps): ring.coeff(1)})
+        mono = Polynomial(ring, {pack(exps): ring.coeff(1)})
         if ring.nparams and rng.random() < 0.4:
             c = Polynomial.variable(ring, ring.params[rng.randrange(ring.nparams)])
             if rng.random() < 0.5:

@@ -38,6 +38,7 @@ from dpv.lattice import (
 )
 from dpv.orders import elimination, grevlex, lex
 from dpv.parsing import parse_poly, parse_ring
+from dpv.ring import unpack
 
 K2_BY_RECORD = {
     "e1-1-p3": 1,
@@ -191,11 +192,15 @@ def _eliminant(gens, ring, keep, lim):
     """Dense univariate generator of the elimination ideal onto one slot."""
     block = tuple(i for i in range(ring.ngeom) if i != keep)
     basis = buchberger(gens, elimination(ring.ngeom, block), lim)
-    cands = [g for g in basis if all(all(e[i] == 0 for i in block) for e in g.terms)]
+
+    def exps(g):
+        return [unpack(k, ring.ngeom) for k in g.terms]
+
+    cands = [g for g in basis if all(all(e[i] == 0 for i in block) for e in exps(g))]
     if not cands:
         return None
-    best = min(cands, key=lambda g: max(e[keep] for e in g.terms))
-    dense = [0] * (max(e[keep] for e in best.terms) + 1)
+    best = min(cands, key=lambda g: max(e[keep] for e in exps(g)))
+    dense = [0] * (max(e[keep] for e in exps(best)) + 1)
     for e, c in ff.int_terms(best):
         dense[e[keep]] = c
     return dense

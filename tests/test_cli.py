@@ -182,6 +182,17 @@ def test_groebner_parameter_degree_overflow_is_inconclusive(tmp_path, capsys):
     assert (out.out, out.err) == ("", "inconclusive: parameter degree above 32767\n")
 
 
+def test_groebner_geometric_degree_overflow_is_inconclusive(tmp_path, capsys):
+    # both generators parse, but under lex reducing x*y^20000 by x - y^20000
+    # needs y^40000, beyond the packed monomial's degree cap: exit 2
+    ring, ideal = _write_ideal(tmp_path, "ring p=3 geom x y", ["x^2", "x - y^20000"])
+    assert main(["groebner", "--ring", ring, "--ideal", ideal, "--order", "lex"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "inconclusive: geometric degree above 32767\n")
+    # under grevlex y^20000 leads, and the basis needs no larger degree
+    assert main(["groebner", "--ring", ring, "--ideal", ideal]) == 0
+
+
 def test_groebner_missing_ring(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing here\n")
@@ -230,6 +241,10 @@ def test_groebner_exact_output_over_f7(tmp_path, capsys, order, want):
     ("ring p=3 geom x params " + " ".join(f"s{i}" for i in range(17)), ["x"], "ring",
      "17 parameters are too many (at most 16)"),
     ("ring p=3 geom x y params s", ["s^40000*x"], "ideal", "parameter exponent 40000 is above 32767"),
+    ("ring p=3 geom " + " ".join(f"x{i}" for i in range(17)), ["x0"], "ring",
+     "17 geometric variables are too many (at most 16)"),
+    ("ring p=3 geom x y", ["x^40000"], "ideal", "geometric exponent 40000 is above 32767"),
+    ("ring p=3 geom x y", ["x^20000*y^20000"], "ideal", "geometric degree above 32767"),
 ])
 def test_groebner_rejects_bad_input_in_one_line(tmp_path, capsys, ring_line, polys, bad, reason):
     ring, ideal = _write_ideal(tmp_path, ring_line or "ring p=3 geom x y", polys or ["x"])

@@ -70,15 +70,30 @@ def test_expression_errors():
 
 def test_parameter_degree_cap():
     # parameter monomials are packed with a degree cap of 2^15 - 1: a larger
-    # parameter exponent is rejected before any power is built, a product
-    # past the cap is rejected too, and geometric exponents have no cap
+    # parameter exponent is rejected before any power is built, and a
+    # product past the cap is rejected too
     ring = parse_ring("ring p=3 geom x y params s t")
     for text, reason in (("s^40000*x", "parameter exponent 40000 is above 32767"),
                          ("(x+t)^32768", "parameter exponent 32768 is above 32767"),
                          ("s^12000*s^12000*s^12000", "parameter degree above 32767")):
         with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
             parse_poly(ring, text)
-    assert str(parse_poly(ring, "s^12000*t^12000*x^40000")) == "s^12000*t^12000*x^40000"
+    assert str(parse_poly(ring, "s^12000*t^12000*x^30000")) == "s^12000*t^12000*x^30000"
+
+
+def test_geometric_degree_cap():
+    # geometric monomials take the parameters' packed layout and its cap;
+    # a constant base takes any exponent, and a power above half the cap
+    # parses, since the square past the exponent's top bit is never taken
+    ring = parse_ring("ring p=3 geom x y params s t")
+    for text, reason in (("x^40000", "geometric exponent 40000 is above 32767"),
+                         ("(x+1)^32768", "geometric exponent 32768 is above 32767"),
+                         ("x^20000*y^20000", "geometric degree above 32767")):
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            parse_poly(ring, text)
+    assert str(parse_poly(ring, "x^20000")) == "x^20000"
+    assert str(parse_poly(ring, "x - s^20000")) == "x + 2*s^20000"
+    assert str(parse_poly(ring, "2^40000*x")) == "x"
 
 
 def test_ideal_lines():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dpv.parsing import parse_poly, parse_ring
 from dpv.poly import Polynomial
-from dpv.ring import RingContext, work_done
+from dpv.ring import RingContext, pack, unpack, work_done
 
 from _gen import random_poly
 
@@ -189,7 +189,8 @@ def test_change_ring_moves_exponents_only(f, g):
         down = up.change_ring(ring)
         assert work_done() == before
         assert down == h
-        assert all(up.terms[(e[2], 0, e[0], e[1])] is c for e, c in h.terms.items())
+        exps = {k: unpack(k, ring.ngeom) for k in h.terms}
+        assert all(up.terms[pack((e[2], 0, e[0], e[1]))] is h.terms[k] for k, e in exps.items())
         assert all(down.terms[e] is c for e, c in h.terms.items())
 
 

@@ -13,7 +13,7 @@ from dpv.groebner import Inconclusive, Limits, buchberger, dimension, is_unit_id
 from dpv.orders import grevlex
 from dpv.parsing import parse_ideal_lines, parse_model, parse_poly, parse_ring
 from dpv.poly import Polynomial
-from dpv.ring import work_done
+from dpv.ring import unpack, work_done
 from dpv.scheme import (
     AmbientSpace,
     Chart,
@@ -469,7 +469,8 @@ def test_fibre_test_never_fires_inside_the_radical():
     assert len(minors) == 2
     order = grevlex(ring.ngeom)
     for m in minors:
-        assert {ring.geom[i] for e in m.terms for i, x in enumerate(e) if x} == {"x", "y"}
+        exps = [unpack(k, ring.ngeom) for k in m.terms]
+        assert {ring.geom[i] for e in exps for i, x in enumerate(e) if x} == {"x", "y"}
         assert not groebner.reduce(m, [f], order).is_zero()
         assert groebner.reduce(m * m, [f], order).is_zero()
         assert not scheme._nonzero_on_a_fibre(m, eqs, None)
