@@ -21,8 +21,8 @@ from .orders import MonomialOrder, elimination, grevlex
 from .poly import Polynomial
 # Inconclusive lives in ring, whose kernel raises it on a degree overflow;
 # it is re-exported here beside the limits that raise it
-from .ring import (Inconclusive, RingContext, check_degree, degree, divides, lcm, pack, unpack,
-                   used_slots, work_done)
+from .ring import (MAX_VARS, Inconclusive, RingContext, check_degree, degree, divides, lcm, pack,
+                   unpack, used_slots, work_done)
 
 DEFAULT_PAIR_LIMIT = 10**6
 
@@ -82,11 +82,8 @@ class Budget:
 
 
 def make_monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
-    dom = f.ring.domain
-    _, lc = f.lead(order)
-    if dom.is_one(lc):
-        return f
-    return f * dom.inverse(lc)
+    dom, lc = f.ring.domain, f.lead(order)[1]
+    return f if dom.is_one(lc) else f * dom.inverse(lc)
 
 
 def reduce(
@@ -107,19 +104,22 @@ def reduce(
     term, delta times the divisor's least key: under lex a new term can
     outgrow the one it replaces.
 
-    Coefficient arithmetic goes through the ring's domain (ints mod p, or
-    fractions), bound to locals once per call."""
+    Divisors are made monic once (a no-op for the engine's bases), so a
+    step adds -c * x^delta * g and never divides; a non-monic basis gives
+    the same normal form, term for term.  Coefficient arithmetic goes
+    through the ring's domain, bound to locals once per call."""
     if isinstance(budget, Limits):
         budget = Budget(budget.max_steps)
     ring = f.ring
     dom = ring.domain
-    csub, cmul, cdiv, cneg, czero = dom.sub, dom.mul, dom.div, dom.neg, dom.is_zero
+    cadd, cmul, cneg, czero = dom.add, dom.mul, dom.neg, dom.is_zero
     data = []
     for g in basis:
         if g.is_zero():
             continue
-        lm, lc = g.lead(order)
-        data.append((lm, lc, min(g.terms), [(ge, gc) for ge, gc in g.terms.items() if ge != lm]))
+        g = make_monic(g, order)
+        lm = g.lead(order)[0]
+        data.append((lm, min(g.terms), [(ge, gc) for ge, gc in g.terms.items() if ge != lm]))
     work = dict(f.terms)
     if order.kind == "grevlex":
         heap, push, pop = list(work), heappush, heappop
@@ -142,13 +142,13 @@ def reduce(
         while e not in work:
             e = pop(heap)
         c = work.pop(e)
-        for lm, lc, top, tail in data:
+        for lm, top, tail in data:
             if divides(lm, e):
                 break
         else:
             remainder[e] = c
             continue
-        factor = cdiv(c, lc)
+        factor = cneg(c)
         delta = e - lm
         check_degree(delta + top, "geometric")
         for ge, gc in tail:
@@ -156,10 +156,10 @@ def reduce(
             v = cmul(factor, gc)
             old = work.get(ne)
             if old is None:
-                work[ne] = cneg(v)
+                work[ne] = v
                 push(heap, ne)
                 continue
-            v = csub(old, v)
+            v = cadd(old, v)
             if czero(v):
                 del work[ne]
             else:
@@ -167,15 +167,19 @@ def reduce(
     return Polynomial(ring, remainder)
 
 
+def _shift(f: Polynomial, d: int) -> Polynomial:
+    """f times the monomial of key d; the least key has the highest degree."""
+    check_degree(min(f.terms) + d, "geometric")
+    return Polynomial(f.ring, {e + d: c for e, c in f.terms.items()})
+
+
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    ring = f.ring
-    lmf, lcf = f.lead(order)
-    lmg, lcg = g.lead(order)
+    """The difference of monic(f) and monic(g), each shifted up to the lcm
+    of the leads: no coefficient product for monic inputs."""
+    f, g = make_monic(f, order), make_monic(g, order)
+    lmf, lmg = f.lead(order)[0], g.lead(order)[0]
     L = lcm(lmf, lmg)
-    dom = ring.domain
-    mf = Polynomial(ring, {L - lmf: dom.div(dom.one, lcf)})
-    mg = Polynomial(ring, {L - lmg: dom.div(dom.one, lcg)})
-    return mf * f - mg * g
+    return _shift(f, L - lmf) - _shift(g, L - lmg)
 
 
 def buchberger(
@@ -209,33 +213,29 @@ def buchberger(
     leads = [g.lead(order)[0] for g in G]
     pending: set[tuple[int, int]] = set()
     heap: list = []
-    for i, j in itertools.combinations(range(len(G)), 2):
+
+    def push_pair(i: int, j: int):
+        # the pair is unique, so the lcm after it is carried, never compared
         pending.add((i, j))
-        heappush(heap, (degree(lcm(leads[i], leads[j])), (i, j)))
+        L = lcm(leads[i], leads[j])
+        heappush(heap, (degree(L), (i, j), L))
+
+    for i, j in itertools.combinations(range(len(G)), 2):
+        push_pair(i, j)
 
     processed = 0
     while heap:
-        _, (i, j) = heappop(heap)
+        _, (i, j), L = heappop(heap)
         pending.discard((i, j))
         processed += 1
         if processed > limits.max_pairs:
             raise Inconclusive(f"pair limit {limits.max_pairs} exceeded")
-        lmi, lmj = leads[i], leads[j]
-        L = lcm(lmi, lmj)
-        if L == lmi + lmj:
+        if L == leads[i] + leads[j]:
             continue  # coprime leading monomials
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            if not divides(leads[k], L):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
-                skip = True
-                break
-        if skip:
+        # chain criterion: a lead dividing L whose pairs with i and j are done
+        if any(k != i and k != j and divides(leads[k], L)
+               and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
+               for k in range(len(G))):
             continue
         s = s_polynomial(G[i], G[j], order)
         h = reduce(s, G, order, budget)
@@ -243,13 +243,10 @@ def buchberger(
             continue
         if h.is_constant():
             return [Polynomial.one(ring)]
-        h = make_monic(h, order)
-        G.append(h)
-        leads.append(h.lead(order)[0])
-        t = len(G) - 1
-        for i2 in range(t):
-            pending.add((i2, t))
-            heappush(heap, (degree(lcm(leads[i2], leads[t])), (i2, t)))
+        G.append(make_monic(h, order))
+        leads.append(G[-1].lead(order)[0])
+        for i2 in range(len(G) - 1):
+            push_pair(i2, len(G) - 1)
 
     return _interreduce(G, order, budget)
 
@@ -285,8 +282,10 @@ def is_unit_ideal(gens: list[Polynomial], limits: Limits | None = None) -> bool:
 def _with_inverse(gens: list[Polynomial], f: Polynomial):
     """(gens, 1 - T*f) in f's ring with a fresh last variable T, and that
     ring: the inverse-variable trick behind radical membership and
-    saturation."""
+    saturation.  With MAX_VARS variables T has no room: Inconclusive."""
     ring = f.ring
+    if ring.ngeom == MAX_VARS:
+        raise Inconclusive(f"an inverse variable needs {MAX_VARS + 1} geometric variables")
     big = ring.with_extra_geom_vars((ring.fresh_name("T"),))
     t = Polynomial.variable(big, big.geom[-1])
     lifted = [h.change_ring(big) for h in gens]

@@ -29,7 +29,7 @@ import threading
 from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import chain, zip_longest
+from itertools import chain
 from operator import methodcaller, or_
 
 
@@ -87,7 +87,8 @@ _BITS = 16
 _SLOT = (1 << _BITS) - 1
 _DEG_SHIFT = MAX_VARS * _BITS
 _LOW = (1 << _DEG_SHIFT) - 1  # the slots of a key
-_GUARD = sum(1 << (_BITS * i + _BITS - 1) for i in range(MAX_VARS))
+_ONES = sum(1 << (_BITS * i) for i in range(MAX_VARS))  # a 1 in every slot
+_GUARD = _ONES << (_BITS - 1)
 MAX_DEGREE = (1 << (_BITS - 1)) - 1
 _FLOOR = -MAX_DEGREE << _DEG_SHIFT  # a key below it has degree above MAX_DEGREE
 
@@ -140,8 +141,14 @@ def divides(a: int, b: int) -> bool:
 
 
 def lcm(a: int, b: int) -> int:
-    """The least common multiple of two monomials: slot-wise maxima."""
-    return pack([max(x, y) for x, y in zip_longest(_exponents(a), _exponents(b), fillvalue=0)])
+    """The least common multiple of two monomials: slot-wise maxima.  The
+    guard bits of a - b (see divides) mask the slots where a is at least b;
+    one product with _ONES sums the slots (the degree, at most 2 * MAX_DEGREE,
+    so nothing carries) into the top slot."""
+    la, lb = a & _LOW, b & _LOW
+    mask = (((la - lb + _GUARD) & _GUARD) >> (_BITS - 1)) * _SLOT
+    low = (la & mask) | (lb & ~mask)
+    return low - (((low * _ONES >> (_DEG_SHIFT - _BITS)) & _SLOT) << _DEG_SHIFT)
 
 
 def used_slots(keys) -> list[int]:
@@ -447,15 +454,18 @@ def _pp_gcd_one_var(a: PP, b: PP, i: int, p: int) -> PP:
 
 def pp_gcd(a: PP, b: PP, p: int) -> PP:
     """Monic gcd via content/primitive-part recursion and pseudo-remainders;
-    single-variable operands take a dense Euclidean shortcut."""
+    single-variable operands take a dense Euclidean shortcut.  A constant
+    multiple of a gives monic(a) free, so a sign never changes the units."""
     if not a:
         return pp_monic(b, p)
     if not b:
         return pp_monic(a, p)
     if pp_is_const(a) or pp_is_const(b):
         return {0: 1}
-    if a == b:
-        return pp_monic(a, p)
+    if len(a) == len(b):
+        ma = pp_monic(a, p)
+        if ma == pp_monic(b, p):
+            return ma
     used = used_slots(chain(a, b))
     if len(used) == 1:
         return _pp_gcd_one_var(a, b, used[0], p)
@@ -691,28 +701,24 @@ class FpDomain:
     """F_p as plain ints in 0..p-1: the coefficients of a ring without
     parameters.
 
-    A product or quotient of two nonzero elements charges work_done() 2
-    units, what the product of two one-term parameter polynomials charges,
-    so work budgets trip at the same step as for the same ideal written over
-    F_p(params); sums, differences, negation and inverse charge nothing."""
+    A product of two nonzero elements charges work_done() 2 units, what
+    the product of two one-term parameter polynomials charges, so work
+    budgets trip at the same step as for the same ideal written over
+    F_p(params); sums, negation and inverse charge nothing."""
 
-    __slots__ = ("p", "zero", "one")
+    __slots__ = ("p", "zero")
 
     is_zero = staticmethod(operator.not_)
 
     def __init__(self, p: int):
         self.p = p
         self.zero = 0
-        self.one = 1
 
     def const(self, c: int) -> int:
         return c % self.p
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
 
     def neg(self, a: int) -> int:
         return -a % self.p
@@ -722,14 +728,6 @@ class FpDomain:
             _WORK.n += 2
             return a * b % self.p
         return 0
-
-    def div(self, a: int, b: int) -> int:
-        if not b:
-            raise ZeroDivisionError("division by zero coefficient")
-        if not a:
-            return 0
-        _WORK.n += 2
-        return a * pow(b, -1, self.p) % self.p
 
     def inverse(self, a: int) -> int:
         if not a:
@@ -759,13 +757,11 @@ class FractionDomain:
     operator or by method name, so a wrapper installed on Coefficient sees
     each call."""
 
-    __slots__ = ("p", "zero", "one")
+    __slots__ = ("p", "zero")
 
     add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
     neg = staticmethod(operator.neg)
     mul = staticmethod(operator.mul)
-    div = staticmethod(operator.truediv)
     inverse = staticmethod(methodcaller("inverse"))
     is_zero = staticmethod(methodcaller("is_zero"))
     is_one = staticmethod(methodcaller("is_one"))
@@ -774,7 +770,6 @@ class FractionDomain:
     def __init__(self, p: int):
         self.p = p
         self.zero = Coefficient.zero(p)
-        self.one = Coefficient.from_const(1, p)
 
     def const(self, c: int) -> Coefficient:
         return Coefficient.from_const(c, self.p)

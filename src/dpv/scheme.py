@@ -498,7 +498,7 @@ def pth_root_closure(gens: list[Polynomial], limits: Limits | None = None) -> li
         fresh = []
         for g in basis:
             r = g.pth_root()
-            if r is not None and not normal_form(r, basis, order).is_zero():
+            if r is not None and not normal_form(r, basis, order, limits).is_zero():
                 fresh.append(r)
         if not fresh:
             return basis

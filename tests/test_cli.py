@@ -245,6 +245,8 @@ def test_groebner_exact_output_over_f7(tmp_path, capsys, order, want):
      "17 geometric variables are too many (at most 16)"),
     ("ring p=3 geom x y", ["x^40000"], "ideal", "geometric exponent 40000 is above 32767"),
     ("ring p=3 geom x y", ["x^20000*y^20000"], "ideal", "geometric degree above 32767"),
+    ("ring p=3 geom x y", ["(" * 400 + "x" + ")" * 400], "ideal",
+     "expression nested too deeply (at most 100 levels)"),
 ])
 def test_groebner_rejects_bad_input_in_one_line(tmp_path, capsys, ring_line, polys, bad, reason):
     ring, ideal = _write_ideal(tmp_path, ring_line or "ring p=3 geom x y", polys or ["x"])

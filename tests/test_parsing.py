@@ -231,3 +231,13 @@ def test_model_rejects_garbage():
     decl = parse_model(quadric + "blowup chart=D+(q) center z ; w")
     with pytest.raises(ValueError, match=r"blowup chart 'D\+\(q\)' is not a chart of the model"):
         build_model(decl, "m")
+
+
+def test_nesting_depth_is_capped_in_one_line():
+    # each level of parentheses is a few parser frames: past the cap the
+    # text is rejected before the interpreter's recursion limit is near
+    ring = parse_ring("ring p=3 geom x y")
+    assert str(parse_poly(ring, "(" * 100 + "x" + ")" * 100)) == "x"
+    for depth in (101, 400, 5000):
+        with pytest.raises(ValueError, match=r"^expression nested too deeply \(at most 100 "):
+            parse_poly(ring, "(" * depth + "x" + ")" * depth)
