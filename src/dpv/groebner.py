@@ -1,12 +1,25 @@
 """Buchberger engine over F_p(params) with explicit resource limits.
 
 Monomials are packed keys (ring.pack): a product or quotient of monomials is
-a sum or difference of keys.  Pair selection is the normal strategy (minimal
-lcm total degree, ties broken by lexicographic pair index), pairs are
-discarded by the coprimality and chain criteria, and exceeding a resource
-cap raises Inconclusive rather than ever returning a wrong basis.  Reduced
-bases are monic and sorted by descending leading monomial, so results are
-canonical for a given order.
+a sum or difference of keys.  buchberger pre-reduces the generators, then
+runs one of two pair loops, chosen by reading the coefficients:
+
+* every coefficient a constant of F_p (any ring without parameters, or a
+  parameter ring whose generators use no parameter): the signature loop,
+  incremental F5 signatures in the RB form (Faugere, ISSAC 2002; Eder &
+  Faugere, J. Symb. Comput. 80, 2017).  A signature is dropped when it is
+  divisible by a lead of the basis of the earlier generators (the F5
+  criterion) or by the signature of an earlier zero reduction, and is
+  otherwise rebuilt from its rewriter and reduced by regular steps only, so
+  a regular sequence reduces nothing to zero.  max_pairs counts the
+  signatures popped, those the criteria drop included;
+* otherwise, Buchberger's normal strategy: minimal lcm total degree, ties
+  broken by lexicographic pair index, pairs discarded by the coprimality
+  and chain criteria.  max_pairs counts the pairs popped.
+
+Exceeding a resource cap raises Inconclusive rather than ever returning a
+wrong basis.  Reduced bases are monic and sorted by descending leading
+monomial, so results are canonical for a given order, whichever loop ran.
 """
 
 from __future__ import annotations
@@ -15,14 +28,14 @@ import itertools
 import os
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import mul
+from operator import mul, neg
 
 from .orders import MonomialOrder, elimination, grevlex
 from .poly import Polynomial
 # Inconclusive lives in ring, whose kernel raises it on a degree overflow;
 # it is re-exported here beside the limits that raise it
-from .ring import (MAX_VARS, Inconclusive, RingContext, check_degree, degree, divides, lcm, pack,
-                   unpack, used_slots, work_done)
+from .ring import (MAX_VARS, FpDomain, Inconclusive, RingContext, check_degree, degree, divides,
+                   lcm, pack, pp_is_const, unpack, used_slots, work_done)
 
 DEFAULT_PAIR_LIMIT = 10**6
 
@@ -104,23 +117,29 @@ def reduce(
     term, delta times the divisor's least key: under lex a new term can
     outgrow the one it replaces.
 
-    Divisors are made monic once (a no-op for the engine's bases), so a
-    step adds -c * x^delta * g and never divides; a non-monic basis gives
-    the same normal form, term for term.  Coefficient arithmetic goes
-    through the ring's domain, bound to locals once per call."""
+    Each divisor is read through Polynomial.reducer, its monic form made
+    once per polynomial (a no-op for the engine's bases), so a step adds
+    -c * x^delta * g and never divides; a non-monic basis gives the same
+    normal form, term for term.  Coefficient arithmetic goes through the
+    ring's domain, bound to locals once per call."""
     if isinstance(budget, Limits):
         budget = Budget(budget.max_steps)
     ring = f.ring
-    dom = ring.domain
+    data = [g.reducer(order) for g in basis if g.terms]
+    return Polynomial(ring, _divide(dict(f.terms), ring.domain, data, order, budget))
+
+
+def _divide(work: dict, dom, data: list, order: MonomialOrder, budget: "Budget | None",
+            regular=(), sig=None, up=None) -> dict | None:
+    """The remainder terms of the terms in work (consumed) divided by the
+    Polynomial.reducer entries in data, each usable at every term.
+
+    The signature loop also passes regular: entries (lead, least key, tail,
+    signature - lead), one usable at a term e only while the multiple's
+    signature e + (signature - lead) lies below sig, comparing by the
+    ascending key up.  It gets None when the lead is left reducible only
+    singularly, by an entry whose multiple has signature sig itself."""
     cadd, cmul, cneg, czero = dom.add, dom.mul, dom.neg, dom.is_zero
-    data = []
-    for g in basis:
-        if g.is_zero():
-            continue
-        g = make_monic(g, order)
-        lm = g.lead(order)[0]
-        data.append((lm, min(g.terms), [(ge, gc) for ge, gc in g.terms.items() if ge != lm]))
-    work = dict(f.terms)
     if order.kind == "grevlex":
         heap, push, pop = list(work), heappush, heappop
     else:
@@ -133,6 +152,8 @@ def reduce(
         def pop(h):
             return heappop(h)[1]
 
+    if regular:
+        bound = up(sig)
     heapify(heap)
     remainder: dict = {}
     while work:
@@ -146,8 +167,15 @@ def reduce(
             if divides(lm, e):
                 break
         else:
-            remainder[e] = c
-            continue
+            for lm, top, tail, d in regular:
+                if divides(lm, e) and up(e + d) < bound:
+                    break
+            else:
+                if regular and not remainder and any(
+                        divides(r[0], e) and e + r[3] == sig for r in regular):
+                    return None
+                remainder[e] = c
+                continue
         factor = cneg(c)
         delta = e - lm
         check_degree(delta + top, "geometric")
@@ -164,7 +192,7 @@ def reduce(
                 del work[ne]
             else:
                 work[ne] = v
-    return Polynomial(ring, remainder)
+    return remainder
 
 
 def _shift(f: Polynomial, d: int) -> Polynomial:
@@ -189,7 +217,14 @@ def buchberger(
 ) -> list[Polynomial]:
     """Reduced Groebner basis; [] for the zero ideal, [1] for the unit ideal.
     limits=None means the defaults, Limits(): the engine reads no
-    environment variable (the dpv command turns DPV_* into Limits)."""
+    environment variable (the dpv command turns DPV_* into Limits).
+
+    The generators are pre-reduced, smallest first; one survivor is its own
+    basis.  Otherwise the signature loop runs when every coefficient left is
+    a constant of F_p, and the normal-strategy pair loop when one uses a
+    parameter (see the module docstring for each loop's criteria and what
+    limits.max_pairs counts in it).  Both share one work budget, and both
+    end in the same interreduction."""
     if limits is None:
         limits = Limits()
     nonzero = [g for g in gens if not g.is_zero()]
@@ -209,7 +244,27 @@ def buchberger(
         if h.is_constant():
             return [Polynomial.one(ring)]
         G.append(make_monic(h, order))
+    if len(G) == 1:
+        return G
+    loop = _signature_loop if _constant_coefficients(G) else _pair_loop
+    G = loop(G, order, limits.max_pairs, budget)
+    return [Polynomial.one(ring)] if G is None else _interreduce(G, order, budget)
 
+
+def _constant_coefficients(G: list[Polynomial]) -> bool:
+    """Every coefficient lies in F_p: always so for ints mod p, and for a
+    fraction when both its numerator and denominator are constants."""
+    if type(G[0].ring.domain) is FpDomain:
+        return True
+    for g in G:
+        for c in g.terms.values():
+            if not (pp_is_const(c.num) and pp_is_const(c.den)):
+                return False
+    return True
+
+
+def _pair_loop(G: list[Polynomial], order: MonomialOrder, max_pairs: int, budget: Budget):
+    """Buchberger's normal strategy on G; None for the unit ideal."""
     leads = [g.lead(order)[0] for g in G]
     pending: set[tuple[int, int]] = set()
     heap: list = []
@@ -228,8 +283,8 @@ def buchberger(
         _, (i, j), L = heappop(heap)
         pending.discard((i, j))
         processed += 1
-        if processed > limits.max_pairs:
-            raise Inconclusive(f"pair limit {limits.max_pairs} exceeded")
+        if processed > max_pairs:
+            raise Inconclusive(f"pair limit {max_pairs} exceeded")
         if L == leads[i] + leads[j]:
             continue  # coprime leading monomials
         # chain criterion: a lead dividing L whose pairs with i and j are done
@@ -242,13 +297,104 @@ def buchberger(
         if h.is_zero():
             continue
         if h.is_constant():
-            return [Polynomial.one(ring)]
+            return None
         G.append(make_monic(h, order))
         leads.append(G[-1].lead(order)[0])
         for i2 in range(len(G) - 1):
             push_pair(i2, len(G) - 1)
+    return G
 
-    return _interreduce(G, order, budget)
+
+def _signature_loop(G: list[Polynomial], order: MonomialOrder, max_pairs: int, budget: Budget):
+    """A Groebner basis of G, generator by generator; None for the unit ideal.
+
+    Round i starts from a basis of (g_0 ... g_{i-1}), whose multiples all
+    sign below every m*e_i: g_i, reduced by it, gets signature 1*e_i.  The
+    signatures m*e_i of the round are monomials m, compared by the order,
+    and popped smallest first from the S-pairs of each new element with
+    the earlier basis and with the round's elements (a pair whose two
+    sides sign alike is singular and never pushed).  A popped signature
+    equal to the last one is skipped; one divisible by a lead of the
+    earlier basis (F5) or by a syzygy signature of the round is dropped.
+    Otherwise its rewriter, the last-added element whose signature divides
+    it, times the quotient is reduced by regular steps: the earlier basis
+    at any term, and a round element only where the multiple's signature
+    lies below.  The result is dropped when its lead is reducible only
+    singularly, recorded as a syzygy signature when zero, and otherwise
+    joins the round."""
+    ring = G[0].ring
+    dom = ring.domain
+    if order.kind == "grevlex":
+        up = neg
+    else:
+        rkey = order.rkey
+
+        def up(e):
+            return tuple(map(neg, rkey(e)))
+
+    basis = G[:1]
+    popped = 0
+    for g in G[1:]:
+        h = reduce(g, basis, order, budget)
+        if h.is_zero():
+            continue
+        if h.is_constant():
+            return None
+        old = [b.reducer(order) for b in basis]
+        old_leads = [entry[0] for entry in old]
+        polys: list[Polynomial] = []
+        sigs: list[int] = []
+        regular: list[tuple] = []
+        syz: list[int] = []
+        heap: list = []
+
+        def add(f: Polynomial, s: int):
+            f = make_monic(f, order)
+            entry = f.reducer(order)
+            lm = entry[0]
+            for lb in old_leads:
+                T = s + lcm(lm, lb) - lm
+                heappush(heap, (up(T), T))
+            for lb, _, _, db in regular:
+                L = lcm(lm, lb)
+                ta, tb = s + L - lm, db + L
+                if ta != tb:
+                    ua, ub = up(ta), up(tb)
+                    heappush(heap, (ua, ta) if ua > ub else (ub, tb))
+            polys.append(f)
+            sigs.append(s)
+            regular.append(entry + (s - lm,))
+
+        add(h, 0)
+        last = None
+        while heap:
+            _, T = heappop(heap)
+            if T == last:
+                continue
+            last = T
+            popped += 1
+            if popped > max_pairs:
+                raise Inconclusive(f"pair limit {max_pairs} exceeded")
+            check_degree(T, "geometric")
+            if any(divides(m, T) for m in old_leads) or any(divides(z, T) for z in syz):
+                continue
+            k = len(sigs) - 1
+            while not divides(sigs[k], T):
+                k -= 1
+            t = T - sigs[k]
+            check_degree(regular[k][1] + t, "geometric")
+            rem = _divide({e + t: c for e, c in polys[k].terms.items()}, dom, old, order, budget,
+                          regular, T, up)
+            if rem is None:
+                continue
+            if not rem:
+                syz.append(T)
+            elif len(rem) == 1 and 0 in rem:
+                return None
+            else:
+                add(Polynomial(ring, rem), T)
+        basis = basis + polys
+    return basis
 
 
 def _interreduce(

@@ -18,7 +18,7 @@ from .ring import (Coefficient, RingContext, check_degree, degree, format_terms,
                    terms_pth_root, unit, unpack, used_slots)
 
 class Polynomial:
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "terms", "_lead", "_reducer")
 
     def __init__(self, ring: RingContext, terms: dict):
         """terms maps packed monomials to nonzero coefficients of
@@ -26,6 +26,7 @@ class Polynomial:
         self.ring = ring
         self.terms = terms
         self._lead = None
+        self._reducer = None
 
     # -- constructors --------------------------------------------------------
 
@@ -73,6 +74,22 @@ class Polynomial:
             e = min(self.terms, key=order.rkey)
             cached = self._lead = (order, e, self.terms[e])
         return cached[1], cached[2]
+
+    def reducer(self, order):
+        """(lead monomial, least key, tail) of the monic multiple of a
+        nonzero f under order, the tail a list of (monomial, coefficient)
+        pairs: what a division step by f reads.  Kept for the last order,
+        like lead, so a divisor is made monic once, not once per reduction."""
+        cached = self._reducer
+        if cached is None or cached[0] is not order:
+            lm, lc = self.lead(order)
+            dom = self.ring.domain
+            tail = [(e, c) for e, c in self.terms.items() if e != lm]
+            if not dom.is_one(lc):
+                inv, mul = dom.inverse(lc), dom.mul
+                tail = [(e, mul(c, inv)) for e, c in tail]
+            cached = self._reducer = (order, (lm, min(self.terms), tail))
+        return cached[1]
 
     # -- arithmetic ----------------------------------------------------------
 

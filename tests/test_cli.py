@@ -164,11 +164,15 @@ def test_groebner_orders(tmp_path, capsys):
 
 
 def test_groebner_pair_budget(tmp_path, capsys):
+    # four quadrics in five variables need dozens of pairs, not one
     ring, ideal = _write_ideal(
-        tmp_path, "ring p=3 geom x y z", ["x+y+z", "x*y+y*z+z*x", "x*y*z+2"]
+        tmp_path, "ring p=7 geom a b c d e",
+        ["3*a^2+b*c+5*d*e+2*a*e", "a*b+4*c^2+6*b*e+d^2", "2*b^2+a*d+3*c*e+5*e^2",
+         "c*d+6*a*c+b*d+4*a^2"],
     )
     assert main(["groebner", "--ring", ring, "--ideal", ideal, "--limit-pairs", "1"]) == 2
-    assert "inconclusive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "inconclusive" in err and "pair" in err
 
 
 def test_groebner_parameter_degree_overflow_is_inconclusive(tmp_path, capsys):
