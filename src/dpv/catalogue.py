@@ -277,7 +277,6 @@ def load_example(record_id: str, limits: Limits | None = None) -> tuple[ExampleR
 class CheckResult:
     name: str
     status: str  # "pass" | "fail" | "inconclusive"
-    expected: object = None
     computed: object = None
     certificate: object = None
     note: str = ""
@@ -384,7 +383,7 @@ def compute_k2(model: SurfaceModel) -> tuple[int, dict]:
         lat, method = cover_lattice(factors, [d // 2 for d in branch]), "cover_lattice"
     else:
         raise ValueError(f"no K^2 formula for presentation {model.presentation!r}")
-    return product(lat, lat.k(), lat.k()), {
+    return product(lat, lat.canonical, lat.canonical), {
         "method": method,
         "gram": [list(r) for r in lat.gram],
         "canonical": list(lat.canonical),
@@ -477,7 +476,6 @@ def _check_ambient(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResu
     return CheckResult(
         "ambient",
         "pass" if amb.ok else "fail",
-        expected={"ok": True},
         computed={"ok": amb.ok, "coverage": amb.coverage},
         certificate={
             "strata": [[d, bool(ok)] for d, ok in amb.strata],
@@ -508,7 +506,6 @@ def _check_regular(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResu
     return CheckResult(
         "regular",
         _status(verdict, EXPECTED_VERDICTS["regular"]),
-        expected=_FLAG[EXPECTED_VERDICTS["regular"]],
         computed=_FLAG[verdict],
         certificate=cert,
         note="; ".join(_undecided(charts)),
@@ -527,7 +524,6 @@ def _check_geom_normal(rec: ExampleRecord, model: SurfaceModel, limits) -> Check
     return CheckResult(
         "geom_normal",
         _status(normal, EXPECTED_VERDICTS["geom_normal"]),
-        expected=_FLAG[EXPECTED_VERDICTS["geom_normal"]],
         computed={"geom_normal": None if normal is None else _FLAG[normal], "singular_dimension": dim},
         certificate=cert,
         note="; ".join(_undecided(charts)),
@@ -548,7 +544,6 @@ def _check_geom_integral(rec: ExampleRecord, model: SurfaceModel, limits) -> Che
     return CheckResult(
         "geom_integral",
         _status(reduced, EXPECTED_VERDICTS["geom_integral"]),
-        expected=_FLAG[EXPECTED_VERDICTS["geom_integral"]],
         computed={"geom_integral": _FLAG[reduced], "reduced": reduced, "irreducible": "implied"},
         certificate={"smooth_point_witness": witness},
         note=note,
@@ -560,7 +555,6 @@ def _check_k2(rec: ExampleRecord, model: SurfaceModel, limits) -> CheckResult:
     return CheckResult(
         "k2",
         "pass" if val == rec.expected.k2 else "fail",
-        expected=rec.expected.k2,
         computed=val,
         certificate=cert,
     )
@@ -591,7 +585,6 @@ def _run_extras(rec: ExampleRecord, model: SurfaceModel, limits, done) -> CheckR
         return CheckResult(
             "extras",
             _status(disjoint, True),
-            expected={"disjoint": True},
             computed={"disjoint": disjoint},
             certificate={"kind": "disjointness", "charts": [[v.chart, unit[v.value]] for v in charts]},
             note="two disjoint curves witness Picard rank >= 2",
@@ -605,7 +598,6 @@ def _run_extras(rec: ExampleRecord, model: SurfaceModel, limits, done) -> CheckR
     return CheckResult(
         "extras",
         "pass" if mine == theirs else "fail",
-        expected={"agrees_with": sibling_id},
         computed={"this": list(mine), "sibling": list(theirs)},
         certificate={"kind": "cross_model", "tuple_fields": list(VERDICT_CHECKS)},
         note="independent presentations of the same row must agree",

@@ -15,17 +15,14 @@ from math import prod
 
 @dataclass(frozen=True)
 class DivisorLattice:
-    """Integer gram matrix over a named divisor basis, with the class of K."""
+    """Integer gram matrix over a divisor basis, with the coordinates of K."""
 
-    basis: tuple[str, ...]
     gram: tuple[tuple[int, ...], ...]
     canonical: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.basis)
-        if len(set(self.basis)) != n:
-            raise ValueError("basis labels must be unique")
-        if len(self.gram) != n or any(len(row) != n for row in self.gram):
+        n = len(self.gram)
+        if any(len(row) != n for row in self.gram):
             raise ValueError("gram matrix shape mismatch")
         for i in range(n):
             for j in range(n):
@@ -34,50 +31,16 @@ class DivisorLattice:
         if len(self.canonical) != n:
             raise ValueError("canonical class length mismatch")
 
-    def vector(self, coords) -> "ClassVector":
-        return ClassVector(self, tuple(coords))
 
-    def k(self) -> "ClassVector":
-        return ClassVector(self, self.canonical)
-
-
-@dataclass(frozen=True)
-class ClassVector:
-    lattice: DivisorLattice
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != len(self.lattice.basis):
-            raise ValueError("coordinate length mismatch")
-
-    def __neg__(self) -> "ClassVector":
-        return ClassVector(self.lattice, tuple(-c for c in self.coords))
-
-    def __add__(self, other: "ClassVector") -> "ClassVector":
-        if self.lattice != other.lattice:
-            raise ValueError("classes live in different lattices")
-        return ClassVector(
-            self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other: "ClassVector") -> "ClassVector":
-        return self + (-other)
-
-    def __mul__(self, n: int) -> "ClassVector":
-        return ClassVector(self.lattice, tuple(n * c for c in self.coords))
-
-    __rmul__ = __mul__
-
-
-def product(l: DivisorLattice, v: ClassVector, w: ClassVector) -> int:
-    """Intersection number v.w in the given lattice."""
-    if v.lattice != l or w.lattice != l:
-        raise ValueError("classes must share the lattice")
-    n = len(l.basis)
+def product(l: DivisorLattice, v: tuple[int, ...], w: tuple[int, ...]) -> int:
+    """Intersection number v.w of two coordinate tuples in the given lattice."""
+    n = len(l.gram)
+    if len(v) != n or len(w) != n:
+        raise ValueError("coordinate length mismatch")
     total = 0
     for i in range(n):
         for j in range(n):
-            total += v.coords[i] * l.gram[i][j] * w.coords[j]
+            total += v[i] * l.gram[i][j] * w[j]
     return total
 
 
@@ -125,7 +88,6 @@ def _product_lattice(factors: list[int], z_class: dict, twist: list[int]) -> Div
         return sum(c for m, c in z_class.items() if tuple(map(sum, zip(hij, m))) == top)
 
     return DivisorLattice(
-        basis=tuple(f"h{i + 1}" for i in range(n)),
         gram=tuple(tuple(meet(i, j) for j in range(n)) for i in range(n)),
         canonical=tuple(d - (a + 1) for a, d in zip(factors, twist)),
     )

@@ -191,13 +191,17 @@ def parse_ring(line: str) -> RingContext:
 
 
 def parse_ideal_lines(ring: RingContext, text: str) -> list[Polynomial]:
-    """Polynomial-per-line format; 'poly NAME = EXPR' and bare EXPR both work."""
+    """Polynomial-per-line format; 'poly NAME = EXPR' and bare EXPR both work.
+    A 'ring ...' line is allowed only when it declares the given ring, so one
+    file can hold both the ring and the ideal."""
     out = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("ring "):
+            if parse_ring(line) != ring:
+                raise ValueError(f"declares another ring: {line!r}")
             continue
         if line.startswith("poly "):
             _, rest = line.split(" ", 1)

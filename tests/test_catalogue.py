@@ -107,6 +107,31 @@ def test_expected_k2_column():
     assert [c.computed for c in vals] == [1, 3, 1, 2, 4, 2, 3, 4, 5, 5, 6]
 
 
+def test_a_wrong_expected_k2_fails(monkeypatch):
+    # negative control: the k2 check must be able to say "fail"
+    for rid in RECORD_ORDER:
+        rec = catalogue._RECORDS[rid]
+        for off in (-1, 1):
+            wrong = replace(rec, expected=replace(rec.expected, k2=rec.expected.k2 + off))
+            monkeypatch.setitem(catalogue._RECORDS, rid, wrong)
+            report = verify_example(rid, ("k2",))
+            assert (report.check("k2").status, report.status) == ("fail", "fail"), (rid, off)
+            assert report.check("k2").computed == rec.expected.k2
+
+
+def test_a_blow_ups_parent_fails_its_row_by_the_center_degree(monkeypatch):
+    # negative control: the parent's text, that is the blow-up's without
+    # its blowup and localize lines, under the blow-up's row
+    for rid in ("e2-3", "e2-5-blowup", "e2-6"):
+        rec, model = load_example(rid)
+        lines = rec.model_text.strip().splitlines()
+        parent_text = "\n".join(line for line in lines if not line.startswith(("blowup ", "localize ")))
+        monkeypatch.setitem(catalogue._RECORDS, rid, replace(rec, model_text=parent_text))
+        report = verify_example(rid, ("k2",))
+        assert (report.check("k2").status, report.status) == ("fail", "fail"), rid
+        assert report.check("k2").computed - rec.expected.k2 == model.center_degree > 0, rid
+
+
 def test_check_subset_and_unknown_check():
     rep = verify_example("e1-2", checks=("k2",))
     assert [c.name for c in rep.checks] == ["k2"]

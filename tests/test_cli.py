@@ -206,6 +206,14 @@ def test_groebner_missing_ring(tmp_path, capsys):
     assert "no declaration" in capsys.readouterr().err
 
 
+def test_groebner_reads_ring_and_ideal_from_one_file(tmp_path, capsys):
+    both = tmp_path / "both.txt"
+    both.write_text("ring p=3 geom x y\nx+y\nx-y\n")
+    assert main(["groebner", "--ring", str(both), "--ideal", str(both)]) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("x\ny\n", "")
+
+
 # exact output over a ring without parameters, whose coefficients are ints
 # mod 7; these are also the bytes that Coefficient arithmetic prints
 F7_IDEAL = ["3*x^2+y*z+5*x", "x*y+4*z^2+6", "2*y^2+x*z+3*z"]
@@ -251,6 +259,8 @@ def test_groebner_exact_output_over_f7(tmp_path, capsys, order, want):
     ("ring p=3 geom x y", ["x^20000*y^20000"], "ideal", "geometric degree above 32767"),
     ("ring p=3 geom x y", ["(" * 400 + "x" + ")" * 400], "ideal",
      "expression nested too deeply (at most 100 levels)"),
+    ("ring p=2 geom x y", ["ring p=3 geom x y", "x+y", "x-y"], "ideal",
+     "declares another ring: 'ring p=3 geom x y'"),
 ])
 def test_groebner_rejects_bad_input_in_one_line(tmp_path, capsys, ring_line, polys, bad, reason):
     ring, ideal = _write_ideal(tmp_path, ring_line or "ring p=3 geom x y", polys or ["x"])

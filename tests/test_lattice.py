@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpv.lattice import (
-    ClassVector,
     DivisorLattice,
     blowup_k2,
     conic_bundle_bound,
@@ -42,49 +41,48 @@ def test_k2_weighted_ci_validation():
 
 
 def test_divisor_lattice_basics():
-    lat = DivisorLattice(("h", "e"), ((1, 0), (0, -1)), (-3, 1))
-    k = lat.k()
+    lat = DivisorLattice(((1, 0), (0, -1)), (-3, 1))
+    k = lat.canonical
     assert product(lat, k, k) == 8
-    v = lat.vector((1, -1))  # ruling class h - e
+    v = (1, -1)  # ruling class h - e
     assert product(lat, v, v) == 0
     assert product(lat, v, k) == -2
-    w = 2 * v - lat.vector((0, 1))
-    assert isinstance(w, ClassVector)
-    assert product(lat, w, w) == 4 * 0 - 4 * product(lat, v, lat.vector((0, 1))) + (-1)
+    w = (2, -3)  # 2v - e
+    assert product(lat, w, w) == 4 * 0 - 4 * product(lat, v, (0, 1)) + (-1)
 
 
 def test_divisor_lattice_validation():
     with pytest.raises(ValueError):
-        DivisorLattice(("a", "a"), ((1, 0), (0, 1)), (0, 0))
+        DivisorLattice(((1, 2), (3, 4)), (0, 0))  # not symmetric
     with pytest.raises(ValueError):
-        DivisorLattice(("a", "b"), ((1, 2), (3, 4)), (0, 0))  # not symmetric
+        DivisorLattice(((1, 0), (0,)), (0, 0))  # not square
     with pytest.raises(ValueError):
-        DivisorLattice(("a",), ((1,),), (0, 0))  # canonical length
+        DivisorLattice(((1,),), (0, 0))  # canonical length
 
 
 def test_product_rejects_foreign_vectors():
-    l1 = DivisorLattice(("a", "b"), ((3, 0), (0, -1)), (0, 0))
-    l2 = DivisorLattice(("a", "b"), ((0, 7), (7, 0)), (0, 0))
-    v = l1.vector((-1, -3))
-    assert product(l1, v, v) == 3 - 9 == -6
-    w = l2.vector((2, 2))
-    assert product(l2, w, w) == 56
-    with pytest.raises(ValueError):
-        product(l1, v, w)
+    lat = DivisorLattice(((3, 0), (0, -1)), (0, 0))
+    v = (-1, -3)
+    assert product(lat, v, v) == 3 - 9 == -6
+    for bad in ((2,), (2, 2, 2)):
+        with pytest.raises(ValueError, match="coordinate length mismatch"):
+            product(lat, v, bad)
+        with pytest.raises(ValueError, match="coordinate length mismatch"):
+            product(lat, bad, v)
 
 
 def test_hypersurface_lattice_bidegree_21():
     lat = hypersurface_lattice([2, 1], [2, 1])
     assert lat.gram == ((1, 2), (2, 0))
     assert lat.canonical == (-1, -1)
-    assert product(lat, lat.k(), lat.k()) == 5
+    assert product(lat, lat.canonical, lat.canonical) == 5
 
 
 def test_cover_lattice():
     lat = cover_lattice([1, 1], [1, 1])
     assert lat.gram == ((0, 2), (2, 0))
     assert lat.canonical == (-1, -1)
-    assert product(lat, lat.k(), lat.k()) == 4
+    assert product(lat, lat.canonical, lat.canonical) == 4
     for bidegree in ([1], [1, 1, 1]):  # one bidegree per factor
         with pytest.raises(ValueError, match="one degree per factor"):
             cover_lattice([1, 1], bidegree)
@@ -164,15 +162,13 @@ def test_secant_selfint_formula(m, degc, genus, n):
 
 
 @given(
-    coords=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
-    other=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    v=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    w=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
 )
 @settings(deadline=None, max_examples=100)
-def test_product_bilinear_symmetric(coords, other):
-    lat = DivisorLattice(("h", "e"), ((1, 0), (0, -1)), (-3, 1))
-    v, w = lat.vector(coords), lat.vector(other)
+def test_product_bilinear_symmetric(v, w):
+    lat = DivisorLattice(((1, 0), (0, -1)), (-3, 1))
+    vw = tuple(a + b for a, b in zip(v, w))
     assert product(lat, v, w) == product(lat, w, v)
-    assert product(lat, v + w, v + w) == product(lat, v, v) + 2 * product(lat, v, w) + product(
-        lat, w, w
-    )
-    assert product(lat, 3 * v, w) == 3 * product(lat, v, w)
+    assert product(lat, vw, vw) == product(lat, v, v) + 2 * product(lat, v, w) + product(lat, w, w)
+    assert product(lat, tuple(3 * a for a in v), w) == 3 * product(lat, v, w)

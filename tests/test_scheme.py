@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from dpv import groebner, scheme
+from dpv import catalogue, groebner, scheme
 from dpv.catalogue import ALL_CHECKS, RECORD_ORDER, RECORDS, _record, load_example, verify_example
 from dpv.groebner import Inconclusive, Limits, buchberger, dimension, is_unit_ideal
 from dpv.orders import grevlex
@@ -444,6 +444,32 @@ def test_negative_controls_are_not_regular():
             assert check_regular(model, Limits(2000, 2 * 10**6))[0] is False, (rec.record_id, text)
             controls += 1
     assert controls == 2 * len(RECORDS) == 22
+
+
+def test_squared_equation_is_not_geometrically_integral():
+    # the square of an irreducible equation is a double surface: no chart
+    # has a smooth point, so geom_integral must say "no".  Measured: e1-3's
+    # cubic squared spends 1,086 units and a p = 3 quadric squared 698.  A
+    # square over F_2 has only zero minors and decides nothing.  A reducible
+    # but reduced model such as (x+s*y)*(z+w) still reports True: the
+    # verdict is reducedness, and irreducibility is the stated H0 = k
+    # assumption, so such a model is no control
+    rec = _record("e1-3")
+    ring_line, ambient, hypersurface = rec.model_text.strip().splitlines()
+    squares = [
+        f"{ring_line}\n{ambient}\nhypersurface ({hypersurface.split(' ', 1)[1]})^2",
+        "ring p=3 geom x:1 y:1 z:1 w:1 params s\nambient wproj\nhypersurface (x^2+s*y^2+z*w)^2",
+    ]
+    spent = 0
+    for text in squares:
+        model = build(text, rec.record_id)
+        before = work_done()
+        reduced, charts = geometric_integrality(model, None)
+        spent += work_done() - before
+        assert reduced is False, text
+        assert [v.value for v in charts] == [False] * 4, text
+        assert catalogue._check_geom_integral(rec, model, None).status == "fail"
+    assert spent < 2_000
 
 
 def test_regular_alone_spends_less_than_the_parameter_minors():
