@@ -281,7 +281,3 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return 1
     return args.func(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -18,7 +18,9 @@ runs one of two pair loops, chosen by reading the coefficients:
   and chain criteria.  max_pairs counts the pairs popped.
 
 Exceeding a resource cap raises Inconclusive rather than ever returning a
-wrong basis.  Reduced bases are monic and sorted by descending leading
+wrong basis.  The work cap, Limits.max_steps, is a ceiling on ring.work_done()
+that every kernel charge checks (ring.within), so a trip overshoots it by at
+most one charge.  Reduced bases are monic and sorted by descending leading
 monomial, so results are canonical for a given order, whichever loop ran.
 """
 
@@ -32,10 +34,10 @@ from operator import mul, neg
 
 from .orders import MonomialOrder, elimination, grevlex
 from .poly import Polynomial
-# Inconclusive lives in ring, whose kernel raises it on a degree overflow;
-# it is re-exported here beside the limits that raise it
+# Inconclusive lives in ring, whose kernel raises it on a degree overflow or
+# past the work budget; it is re-exported here beside the limits
 from .ring import (MAX_VARS, FpDomain, Inconclusive, RingContext, check_degree, degree, divides,
-                   lcm, pack, pp_is_const, unpack, used_slots, work_done)
+                   lcm, pack, pp_is_const, unpack, used_slots, within)
 
 DEFAULT_PAIR_LIMIT = 10**6
 
@@ -43,13 +45,15 @@ DEFAULT_PAIR_LIMIT = 10**6
 @dataclass(frozen=True)
 class Limits:
     max_pairs: int = DEFAULT_PAIR_LIMIT
-    # work budget per basis computation, in coefficient term-product units;
-    # runaway parameter-fraction growth trips the cap long before it can
-    # stall a single normal form
+    # work budget per basis computation and per reduce given Limits, in the
+    # term-product units of ring.work_done; every kernel charge checks it, so
+    # runaway parameter-fraction growth trips it within one charge
     max_steps: int | None = None
 
     def __post_init__(self):
         # the one check of every limit: in code, --limit-pairs and DPV_*
+        if self.max_pairs is None:
+            raise ValueError("pair limit must be an integer, got None")
         for what, value in (("pair limit", self.max_pairs), ("step limit", self.max_steps)):
             if value is not None and value < 0:
                 raise ValueError(f"{what} must not be negative, got {value}")
@@ -70,30 +74,6 @@ class Limits:
         return cls(**kwargs)
 
 
-class Budget:
-    """Deterministic work allowance shared across reductions.
-
-    Each charge also drains the coefficient-arithmetic work (term-product
-    units, see ring.work_done) performed since the previous charge, so gcd
-    and fraction-normalization cost counts even though no step sees it.
-    """
-
-    __slots__ = ("left", "_mark")
-
-    def __init__(self, allowance: int | None):
-        self.left = allowance
-        self._mark = work_done()
-
-    def charge(self, cost: int):
-        if self.left is None:
-            return
-        now = work_done()
-        self.left -= cost + now - self._mark
-        self._mark = now
-        if self.left < 0:
-            raise Inconclusive("work budget exceeded")
-
-
 def make_monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
     dom, lc = f.ring.domain, f.lead(order)[1]
     return f if dom.is_one(lc) else f * dom.inverse(lc)
@@ -103,10 +83,10 @@ def reduce(
     f: Polynomial,
     basis: list[Polynomial],
     order: MonomialOrder,
-    budget: "Budget | Limits | None" = None,
+    limits: Limits | None = None,
 ) -> Polynomial:
     """Full normal form of f modulo basis; deterministic divisor scan order.
-    Passing Limits applies its work budget to this one reduction.
+    Passing Limits puts its work budget on this one reduction.
 
     Heap division (Monagan & Pearce): live terms sit in a dict and their
     monomials in a min-heap on order.rkey (under grevlex, the keys), so the
@@ -122,14 +102,12 @@ def reduce(
     -c * x^delta * g and never divides; a non-monic basis gives the same
     normal form, term for term.  Coefficient arithmetic goes through the
     ring's domain, bound to locals once per call."""
-    if isinstance(budget, Limits):
-        budget = Budget(budget.max_steps)
-    ring = f.ring
-    data = [g.reducer(order) for g in basis if g.terms]
-    return Polynomial(ring, _divide(dict(f.terms), ring.domain, data, order, budget))
+    args = (dict(f.terms), f.ring.domain, [g.reducer(order) for g in basis if g.terms], order)
+    rem = _divide(*args) if limits is None else within(limits.max_steps, _divide, *args)
+    return Polynomial(f.ring, rem)
 
 
-def _divide(work: dict, dom, data: list, order: MonomialOrder, budget: "Budget | None",
+def _divide(work: dict, dom, data: list, order: MonomialOrder,
             regular=(), sig=None, up=None) -> dict | None:
     """The remainder terms of the terms in work (consumed) divided by the
     Polynomial.reducer entries in data, each usable at every term.
@@ -157,8 +135,6 @@ def _divide(work: dict, dom, data: list, order: MonomialOrder, budget: "Budget |
     heapify(heap)
     remainder: dict = {}
     while work:
-        if budget is not None:
-            budget.charge(len(work) + 1)
         e = pop(heap)
         while e not in work:
             e = pop(heap)
@@ -223,22 +199,25 @@ def buchberger(
     basis.  Otherwise the signature loop runs when every coefficient left is
     a constant of F_p, and the normal-strategy pair loop when one uses a
     parameter (see the module docstring for each loop's criteria and what
-    limits.max_pairs counts in it).  Both share one work budget, and both
-    end in the same interreduction."""
+    limits.max_pairs counts in it).  The whole run shares one work budget
+    (see ring.within), and both loops end in the same interreduction."""
     if limits is None:
         limits = Limits()
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
         return []
-    ring = nonzero[0].ring
     if order is None:
-        order = grevlex(ring.ngeom)
+        order = grevlex(nonzero[0].ring.ngeom)
+    return within(limits.max_steps, _basis, nonzero, order, limits.max_pairs)
 
-    budget = Budget(limits.max_steps)
+
+def _basis(nonzero: list[Polynomial], order: MonomialOrder, max_pairs: int) -> list[Polynomial]:
+    """buchberger's work on its nonzero generators, under its budget."""
+    ring = nonzero[0].ring
     G: list[Polynomial] = []
     # insert small generators first and pre-reduce: collapses redundant input
     for g in sorted(nonzero, key=lambda f: (f.total_degree(), len(f.terms))):
-        h = reduce(g, G, order, budget) if G else g
+        h = reduce(g, G, order) if G else g
         if h.is_zero():
             continue
         if h.is_constant():
@@ -247,8 +226,8 @@ def buchberger(
     if len(G) == 1:
         return G
     loop = _signature_loop if _constant_coefficients(G) else _pair_loop
-    G = loop(G, order, limits.max_pairs, budget)
-    return [Polynomial.one(ring)] if G is None else _interreduce(G, order, budget)
+    G = loop(G, order, max_pairs)
+    return [Polynomial.one(ring)] if G is None else _interreduce(G, order)
 
 
 def _constant_coefficients(G: list[Polynomial]) -> bool:
@@ -263,7 +242,7 @@ def _constant_coefficients(G: list[Polynomial]) -> bool:
     return True
 
 
-def _pair_loop(G: list[Polynomial], order: MonomialOrder, max_pairs: int, budget: Budget):
+def _pair_loop(G: list[Polynomial], order: MonomialOrder, max_pairs: int):
     """Buchberger's normal strategy on G; None for the unit ideal."""
     leads = [g.lead(order)[0] for g in G]
     pending: set[tuple[int, int]] = set()
@@ -293,7 +272,7 @@ def _pair_loop(G: list[Polynomial], order: MonomialOrder, max_pairs: int, budget
                for k in range(len(G))):
             continue
         s = s_polynomial(G[i], G[j], order)
-        h = reduce(s, G, order, budget)
+        h = reduce(s, G, order)
         if h.is_zero():
             continue
         if h.is_constant():
@@ -305,7 +284,7 @@ def _pair_loop(G: list[Polynomial], order: MonomialOrder, max_pairs: int, budget
     return G
 
 
-def _signature_loop(G: list[Polynomial], order: MonomialOrder, max_pairs: int, budget: Budget):
+def _signature_loop(G: list[Polynomial], order: MonomialOrder, max_pairs: int):
     """A Groebner basis of G, generator by generator; None for the unit ideal.
 
     Round i starts from a basis of (g_0 ... g_{i-1}), whose multiples all
@@ -335,7 +314,7 @@ def _signature_loop(G: list[Polynomial], order: MonomialOrder, max_pairs: int, b
     basis = G[:1]
     popped = 0
     for g in G[1:]:
-        h = reduce(g, basis, order, budget)
+        h = reduce(g, basis, order)
         if h.is_zero():
             continue
         if h.is_constant():
@@ -383,7 +362,7 @@ def _signature_loop(G: list[Polynomial], order: MonomialOrder, max_pairs: int, b
                 k -= 1
             t = T - sigs[k]
             check_degree(regular[k][1] + t, "geometric")
-            rem = _divide({e + t: c for e, c in polys[k].terms.items()}, dom, old, order, budget,
+            rem = _divide({e + t: c for e, c in polys[k].terms.items()}, dom, old, order,
                           regular, T, up)
             if rem is None:
                 continue
@@ -397,9 +376,7 @@ def _signature_loop(G: list[Polynomial], order: MonomialOrder, max_pairs: int, b
     return basis
 
 
-def _interreduce(
-    G: list[Polynomial], order: MonomialOrder, budget: Budget | None = None
-) -> list[Polynomial]:
+def _interreduce(G: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
     # ascending in the order; a reverse sort stays stable, so equal leads
     # keep their order in G
     pairs = sorted(
@@ -414,7 +391,7 @@ def _interreduce(
     reduced = []
     for idx, g in enumerate(polys):
         others = polys[:idx] + polys[idx + 1 :]
-        h = reduce(g, others, order, budget) if others else g
+        h = reduce(g, others, order) if others else g
         reduced.append(make_monic(h, order))
     reduced.sort(key=lambda f: order.rkey(f.lead(order)[0]))
     return reduced

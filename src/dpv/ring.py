@@ -18,13 +18,14 @@ Monomials of both sorts, parameter and geometric, are packed into one int
 each by one layout (see pack); the helpers that read a key's bits live here.
 
 Polynomial code talks to ring.domain, never to the coefficient type.  The
-only module-level mutable state is the per-thread work counter (work_done).
+only module-level mutable state is the per-thread work counter and ceiling.
 """
 
 from __future__ import annotations
 
 import operator
 import struct
+import sys
 import threading
 from dataclasses import dataclass, field
 from functools import reduce
@@ -38,7 +39,7 @@ class Inconclusive(Exception):
 
 
 class _Work(threading.local):
-    n = 0  # class default: every thread starts at zero
+    n, ceiling = 0, sys.maxsize  # class defaults: every thread starts at zero, unlimited
 
 
 _WORK = _Work()
@@ -46,9 +47,29 @@ _WORK = _Work()
 
 def work_done() -> int:
     """Monotone per-thread counter of coefficient-arithmetic effort, counted
-    in term-product units.  Budgeted computations sample it before and after
-    a step; raw step counts cannot see gcd or fraction-normalization cost."""
+    in term-product units: products of parameter-polynomial terms, and their
+    stand-ins in exact division, one-variable gcds and F_p (see FpDomain)."""
     return _WORK.n
+
+
+def _charge(units: int):
+    w = _WORK
+    w.n = n = w.n + units
+    if n > w.ceiling:
+        raise Inconclusive("work budget exceeded")
+
+
+def within(units: int | None, fn, *args):
+    """fn(*args) with at most units more work (None: no new limit).  Every
+    kernel charge checks the ceiling, so a trip overshoots it by at most the
+    units of the charge that raised; a nested call keeps the tighter one."""
+    outer = _WORK.ceiling
+    if units is not None:
+        _WORK.ceiling = min(outer, _WORK.n + units)
+    try:
+        return fn(*args)
+    finally:
+        _WORK.ceiling = outer
 
 
 # characteristics at or above this are rejected before the trial-division
@@ -245,7 +266,7 @@ def pp_mul(a: PP, b: PP, p: int) -> PP:
     if not a or not b:
         return {}
     check_degree(min(a) + min(b), "parameter")
-    _WORK.n += len(a) * len(b)
+    _charge(len(a) * len(b))
     out: PP = {}
     get = out.get
     for ea, ca in a.items():
@@ -284,7 +305,6 @@ def pp_divexact(a: PP, b: PP, p: int) -> PP:
     be, bc = pp_lead(b)
     binv = pow(bc, -1, p)
     tail = [(e, c) for e, c in b.items() if e != be]
-    units = len(b)
     r = dict(a)
     heap = list(r)
     heapify(heap)
@@ -299,7 +319,7 @@ def pp_divexact(a: PP, b: PP, p: int) -> PP:
         de = re - be
         qc = rc * binv % p
         q[de] = qc
-        _WORK.n += units
+        _charge(len(b))
         for eb, cb in tail:
             e = de + eb
             old = r.get(e)
@@ -439,7 +459,7 @@ def _pp_gcd_one_var(a: PP, b: PP, i: int, p: int) -> PP:
         return out
 
     fa, fb = dense(a), dense(b)
-    _WORK.n += len(fa) * len(fb)
+    _charge(len(fa) * len(fb))
     while fb:
         fa, fb = fb, _dense_rem(fa, fb, p)
     inv = pow(fa[-1], -1, p)
@@ -663,9 +683,9 @@ def _cross(p: int, a: PP, b: PP, c: PP, d: PP) -> Coefficient:
     new denominator is d's.
 
     When b and d are both constants, b is 1 (monic) and the product is
-    (a*c*d^-1)/1 with nothing to cancel.  That case charges
-    len(a)*len(c) + 1 units, what the two pp_mul calls of the general path
-    charge, so budgets trip at the same step either way."""
+    (a*c*d^-1)/1 with nothing to cancel.  That case charges the general
+    path's len(a)*len(c) + 1 units, the 1 just before pp_mul, whose check
+    covers it: two constants charge 2 and check once, as in FpDomain.mul."""
     if pp_is_const(b) and pp_is_const(d):
         _WORK.n += 1
         return Coefficient(p, pp_scale(pp_mul(a, c, p), pow(d[0], -1, p), p), b, reduced=True)
@@ -701,9 +721,9 @@ class FpDomain:
     """F_p as plain ints in 0..p-1: the coefficients of a ring without
     parameters.
 
-    A product of two nonzero elements charges work_done() 2 units, what
-    the product of two one-term parameter polynomials charges, so work
-    budgets trip at the same step as for the same ideal written over
+    A product of two nonzero elements charges work_done() 2 units and then
+    checks the ceiling, as a product of two constants does in F_p(params),
+    so a work budget trips at the same unit for the same ideal written over
     F_p(params); sums, negation and inverse charge nothing."""
 
     __slots__ = ("p", "zero")
@@ -725,7 +745,7 @@ class FpDomain:
 
     def mul(self, a: int, b: int) -> int:
         if a and b:
-            _WORK.n += 2
+            _charge(2)
             return a * b % self.p
         return 0
 

@@ -2,7 +2,10 @@
 
 import ast
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -337,6 +340,15 @@ def test_readme_command_lines_parse():
         parser.parse_args(argv)
 
 
+def test_module_form_runs_the_command():
+    # python -m dpv runs dpv/__main__.py in a fresh interpreter
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "dpv", "lattice", "ruled-k2", "0"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "8\n", "")
+
+
 def test_readme_library_block_prints_its_comments(capsys):
     # each '# value' comment in the README's Library block is the literal
     # that the print beside or above it shows
@@ -415,4 +427,7 @@ def test_limits_reject_negative_values_and_keep_zero():
     for bad in ({"max_pairs": -1}, {"max_steps": -1}):
         with pytest.raises(ValueError, match="must not be negative, got -1$"):
             Limits(**bad)
+    # max_steps=None means no work budget, but every basis needs a pair limit
+    with pytest.raises(ValueError, match="pair limit must be an integer, got None$"):
+        Limits(max_pairs=None)
     Limits(max_pairs=0, max_steps=0)  # zero is a limit, tripped by any work

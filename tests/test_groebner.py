@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from dpv.groebner import (
     DEFAULT_PAIR_LIMIT,
-    Budget,
     Inconclusive,
     Limits,
     buchberger,
@@ -29,7 +28,8 @@ from dpv.groebner import (
 from dpv.orders import elimination, grevlex, lex
 from dpv.parsing import parse_poly, parse_ring
 from dpv.poly import Polynomial
-from dpv.ring import lcm, pack, unpack, work_done
+from dpv import ring as ring_module
+from dpv.ring import FpDomain, lcm, pack, unpack, work_done
 
 from _gen import make_ring, random_poly
 
@@ -395,18 +395,6 @@ FS_GENS = ("s*x^2+y*z+x", "x*y+(s+1)*z^2", "y^2+s*x*z+1")
 FS_QUERY = "x^3*y+s*z^3+x*y^2+(s+1)*x*z"
 
 
-class CountingBudget(Budget):
-    __slots__ = ("steps",)
-
-    def __init__(self, allowance):
-        super().__init__(allowance)
-        self.steps = 0
-
-    def charge(self, cost):
-        self.steps += 1
-        super().charge(cost)
-
-
 def _work(fn):
     before = work_done()
     result = fn()
@@ -445,23 +433,62 @@ def test_work_units_exact_over_f5_s_t():
     assert (spent, len(G)) == (3_847, 3)
 
 
-# (allowance, charge call that trips, budget left after it); the second
-# allowance of each ring is one unit short of finishing the reduction
-@pytest.mark.parametrize("ring_text, gens, query, allowance, steps, left", [
-    (FP_RING, FP_GENS, FP_QUERIES[0], 150, 7, -7),
-    (FP_RING, FP_GENS, FP_QUERIES[0], 243, 19, -1),
-    (FS_RING, FS_GENS, FS_QUERY, 150, 8, -28),
-    (FS_RING, FS_GENS, FS_QUERY, 309, 14, -1),
+# boundary pins: a reduction that spends N units finishes under
+# max_steps=N and trips under N - 1, having spent all N, since the charge
+# that crosses the ceiling is counted before it raises: (allowance,
+# tripped, units spent)
+@pytest.mark.parametrize("ring_text, gens, query, allowance, tripped, spent", [
+    (FP_RING, FP_GENS, FP_QUERIES[0], 90, False, 90),
+    (FP_RING, FP_GENS, FP_QUERIES[0], 89, True, 90),
+    (FS_RING, FS_GENS, FS_QUERY, 232, False, 232),
+    (FS_RING, FS_GENS, FS_QUERY, 231, True, 232),
 ])
-def test_budget_trips_on_the_same_reduce_step(ring_text, gens, query, allowance, steps, left):
+def test_budget_trips_on_the_same_reduce_step(ring_text, gens, query, allowance, tripped, spent):
     ring = parse_ring(ring_text)
     order = grevlex(ring.ngeom)
     G = buchberger(P(ring, *gens), order)
     f = parse_poly(ring, query)  # parsing spends units too: do it first
-    budget = CountingBudget(allowance)
-    with pytest.raises(Inconclusive):
-        reduce(f, G, order, budget)
-    assert (budget.steps, budget.left) == (steps, left)
+    got = _work(lambda: _raises_inconclusive(lambda: reduce(f, G, order, Limits(max_steps=allowance))))
+    assert got == (spent, tripped)
+
+
+# ideal 77 of the benchmark's sweep pool: under the sweep's Limits it trips
+# on a grevlex basis (in pp_mul) and on a lex one (in a one-variable gcd
+# that charges 13,110 units at once)
+SWEEP_77_RING = "ring p=5 geom x y z params s t"
+SWEEP_77_GENS = ("s*x*y+(2+s)*y+(4+t)*z+(1+t)*x", "4*x+4*y^2*z+2*x^2*y",
+                 "3*x^2*y+4+3*x*y+t*y^2*z")
+_KERNEL = ((ring_module, "pp_mul"), (ring_module, "pp_divexact"),
+           (ring_module, "_pp_gcd_one_var"), (FpDomain, "mul"))
+
+
+@pytest.mark.parametrize("order", [grevlex(3), lex(3)], ids=["grevlex", "lex"])
+def test_budget_overshoot_is_at_most_one_kernel_charge(monkeypatch, order):
+    # about 10^6 units, under 0.5 s: each kernel function is wrapped to record
+    # the units charged by the call that raised
+    charges = []
+
+    def recording(fn):
+        def wrapper(*args):
+            before = work_done()
+            try:
+                return fn(*args)
+            except Inconclusive:
+                charges.append(work_done() - before)
+                raise
+        return wrapper
+
+    for owner, name in _KERNEL:
+        monkeypatch.setattr(owner, name, recording(vars(owner)[name]))
+    ring = parse_ring(SWEEP_77_RING)
+    gens = P(ring, *SWEEP_77_GENS)
+    budget = 10**6
+    before = work_done()
+    with pytest.raises(Inconclusive, match="work budget exceeded"):
+        buchberger(gens, order, Limits(5000, budget))
+    over = work_done() - before - budget
+    assert len(charges) == 1
+    assert 0 < over <= charges[0]
 
 
 # -- the int domain against the fraction path ---------------------------------
@@ -474,15 +501,11 @@ def _domain_run(ring, gen_texts, query_text, order):
     gens, q = P(ring, *gen_texts), parse_poly(ring, query_text)
     spent, G = _work(lambda: buchberger(gens, order))
     nf_spent, r = _work(lambda: reduce(q, G, order))
-    full = CountingBudget(10**9)
-    reduce(q, G, order, full)
-    tight = CountingBudget((10**9 - full.left) // 2)
-    tripped, tight_spent = _work(lambda: _raises_inconclusive(lambda: reduce(q, G, order, tight)))
+    half_nf = Limits(max_steps=nf_spent // 2)
+    nf_trip = _work(lambda: _raises_inconclusive(lambda: reduce(q, G, order, half_nf)))
     half_build = Limits(max_steps=spent // 2)
-    build_tripped, build_spent = _work(
-        lambda: _raises_inconclusive(lambda: buchberger(gens, order, half_build)))
-    return ([str(g) for g in G], str(r), spent, nf_spent,
-            (tripped, tight.steps, tight.left, tight_spent), (build_tripped, build_spent))
+    build_trip = _work(lambda: _raises_inconclusive(lambda: buchberger(gens, order, half_build)))
+    return [str(g) for g in G], str(r), spent, nf_spent, nf_trip, build_trip
 
 
 def _raises_inconclusive(fn):
@@ -527,7 +550,7 @@ def test_the_loop_is_chosen_by_the_coefficients(ring_text, texts, want):
 def _loop_basis(loop, gens, order):
     """The reduced basis one of buchberger's two loops gives for gens, fed
     to it as they are, without the pre-pass."""
-    G = loop([make_monic(g, order) for g in gens], order, DEFAULT_PAIR_LIMIT, Budget(None))
+    G = loop([make_monic(g, order) for g in gens], order, DEFAULT_PAIR_LIMIT)
     return [Polynomial.one(gens[0].ring)] if G is None else _interreduce(G, order)
 
 

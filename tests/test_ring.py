@@ -29,6 +29,7 @@ from dpv.ring import (
     pp_neg,
     terms_pth_root,
     unpack,
+    within,
     work_done,
 )
 
@@ -453,3 +454,54 @@ def test_fresh_name_avoids_collisions():
     r = RingContext(p=3, geom=("x", "T"), weights=(1, 1), params=("s",))
     assert r.fresh_name("T") not in r.geom
     assert r.fresh_name("T") not in r.params
+
+
+# -- the work ceiling ---------------------------------------------------------
+
+_P = 5
+_A = {pack((i,)): 1 for i in range(3)}  # 1 + s + s^2
+_B = {pack((0,)): 1, pack((1,)): 2}  # 1 + 2s
+_AB = pp_mul(_A, _B, _P)
+
+
+# each kernel function that adds to the counter, with its exact charge:
+# term products, quotient terms times the divisor's length, the two dense
+# lengths of a one-variable gcd, 2 per F_p product, and a product of two
+# polynomial fractions plus its one extra unit
+@pytest.mark.parametrize("call, units", [
+    (lambda: pp_mul(_A, _B, _P), 6),
+    (lambda: pp_divexact(_AB, _B, _P), 6),
+    (lambda: pp_gcd(_A, _B, _P), 6),
+    (lambda: FpDomain(_P).mul(2, 3), 2),
+    (lambda: Coefficient(_P, _A, {0: 1}) * Coefficient(_P, _B, {0: 1}), 7),
+])
+def test_every_kernel_charge_checks_the_ceiling(call, units):
+    for allowance, trips in ((units, False), (units - 1, True)):
+        before = work_done()
+        try:
+            within(allowance, call)
+            tripped = False
+        except Inconclusive as exc:
+            assert str(exc) == "work budget exceeded"
+            tripped = True
+        assert (tripped, work_done() - before) == (trips, units)
+
+
+def test_within_keeps_the_tighter_ceiling_and_restores_the_outer():
+    def mul():
+        return pp_mul(_A, _A, _P)  # 9 units
+
+    within(20, within, 100, mul)
+    for outer, inner in ((5, 100), (100, 5)):
+        with pytest.raises(Inconclusive):
+            within(outer, within, inner, mul)
+
+    def inner_trips_then_outer_goes_on():
+        with pytest.raises(Inconclusive):
+            within(5, mul)
+        return mul()  # 18 units spent, under the outer 20
+
+    within(20, inner_trips_then_outer_goes_on)
+    # None sets no ceiling, and none is left behind
+    within(None, mul)
+    assert ring._WORK.ceiling == type(ring._WORK).ceiling

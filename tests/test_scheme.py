@@ -155,9 +155,9 @@ def test_pth_root_closure_budgets_its_normal_forms(monkeypatch):
     # like its bases
     seen = []
 
-    def recording(f, basis, order, budget=None):
-        seen.append(budget)
-        return groebner.reduce(f, basis, order, budget)
+    def recording(f, basis, order, limits=None):
+        seen.append(limits)
+        return groebner.reduce(f, basis, order, limits)
 
     monkeypatch.setattr(scheme, "normal_form", recording)
     ring = parse_ring("ring p=2 geom x y params s")
@@ -444,6 +444,84 @@ def test_negative_controls_are_not_regular():
             assert check_regular(model, Limits(2000, 2 * 10**6))[0] is False, (rec.record_id, text)
             controls += 1
     assert controls == 2 * len(RECORDS) == 22
+
+
+def _blocks(model_text: str) -> tuple[str, list[list[str]], str]:
+    """A record's ring line cut around its geom declarations: the text
+    before them, the declarations in factor blocks (one block for a
+    weighted projective space), and the text after them."""
+    ring_line, ambient = model_text.strip().splitlines()[:2]
+    head, rest = ring_line.split(" geom ")
+    decls, sep, params = rest.partition(" params ")
+    decls = decls.split()
+    kind, *dims = ambient.split()[1:]
+    sizes = [int(d) + 1 for d in dims] if kind == "multiproj" else [len(decls)]
+    cuts = list(itertools.accumulate([0] + sizes))
+    return head + " geom ", [decls[i:j] for i, j in zip(cuts, cuts[1:])], sep + params
+
+
+def _shift_parameters(model_text: str) -> str:
+    ring_line, *lines = model_text.strip().splitlines()
+    params = parse_ring(ring_line).params
+
+    def one(m):
+        return f"({m.group()}+1)" if m.group() in params else m.group()
+
+    return "\n".join([ring_line] + [_IDENTIFIER.sub(one, line) for line in lines])
+
+
+def _reorder_variables(model_text: str, rng: random.Random) -> str:
+    head, blocks, tail = _blocks(model_text)
+    for block in blocks:
+        before = list(block)
+        while len(block) > 1 and block == before:
+            rng.shuffle(block)
+    ring_line = head + " ".join(d for block in blocks for d in block) + tail
+    return "\n".join([ring_line] + model_text.strip().splitlines()[1:])
+
+
+def _linear_change(model_text: str, rng: random.Random) -> str:
+    """x_a -> x_a + x_b for two weight-1 variables of one factor."""
+    _, blocks, _ = _blocks(model_text)
+    block = rng.choice([b for b in blocks if sum(d.endswith(":1") for d in b) > 1])
+    a, b = rng.sample([d.split(":")[0] for d in block if d.endswith(":1")], 2)
+    ring_line, ambient, *lines = model_text.strip().splitlines()
+
+    def one(m):
+        return f"({a}+{b})" if m.group() == a else m.group()
+
+    return "\n".join([ring_line, ambient] + [_IDENTIFIER.sub(one, line) for line in lines])
+
+
+def _verdicts_and_k2(text: str, record_id: str) -> tuple:
+    model = build(text, record_id)
+    return (check_regular(model)[0], is_geometrically_normal(model)[0],
+            geometric_integrality(model)[0], catalogue.compute_k2(model)[0])
+
+
+def test_isomorphic_presentations_keep_their_verdicts():
+    # metamorphic: each transformation is an isomorphism over F_p(params),
+    # so regular, geom_normal, geom_integral and K^2 (the lattice is
+    # unchanged) must come out as for the record itself: the shift
+    # s -> s + 1 of every parameter, a shuffle of the geom declarations
+    # (within each factor of a product), both, and on records whose text
+    # names no coordinate (no blowup, localize or extrachart line)
+    # x_a -> x_a + x_b.  The 39 models spend about 198,000 units (e2-3
+    # shifted 59,192 of them) and the 11 records 15,661, in about 0.5 s
+    rng = random.Random(20261020)
+    models = 0
+    for rec in RECORDS:
+        text = rec.model_text
+        want = _verdicts_and_k2(text, rec.record_id)
+        transformed = [_shift_parameters(text), _reorder_variables(text, rng)]
+        transformed.append(_reorder_variables(transformed[0], rng))
+        if not re.search(r"^(blowup|localize|extrachart) ", text, re.M):
+            transformed.append(_linear_change(text, rng))
+        for new in transformed:
+            assert new != text
+            assert _verdicts_and_k2(new, rec.record_id) == want, (rec.record_id, new)
+        models += len(transformed)
+    assert models == 3 * len(RECORDS) + 6 == 39
 
 
 def test_squared_equation_is_not_geometrically_integral():
