@@ -62,6 +62,9 @@ class ExpectedRow:
         return 1 if self.p == 3 else 2
 
 
+# the layout version of a report's JSON and of verify-all's summary.json
+SCHEMA = 1
+
 # the class of surfaces the paper classifies: every row expects these verdicts
 EXPECTED_VERDICTS = {"regular": True, "geom_integral": True, "geom_normal": False}
 
@@ -306,7 +309,7 @@ class VerificationReport:
 
     def to_json(self, include_timings: bool = False) -> dict:
         return {
-            "schema": 1,
+            "schema": SCHEMA,
             "id": self.record_id,
             "checks": [
                 {"name": c.name, "status": c.status, "note": c.note}

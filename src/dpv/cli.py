@@ -17,12 +17,11 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from . import lattice
-from .catalogue import ALL_CHECKS, OUT_OF_SCOPE, verify_all, verify_example
-from .groebner import Inconclusive, Limits, buchberger
+from .catalogue import ALL_CHECKS, OUT_OF_SCOPE, SCHEMA, verify_all, verify_example
+from .groebner import DEFAULT_PAIR_LIMIT, Inconclusive, Limits, buchberger
 from .orders import grevlex, lex
 from .parsing import _integer, parse_ideal_lines, parse_ring
 
@@ -50,15 +49,6 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
             raise argparse.ArgumentTypeError(f"unknown check {name!r}; choose from {', '.join(ALL_CHECKS)}")
         out.append(name)
     return tuple(out)
-
-
-def _limits(args) -> Limits:
-    """The environment's limits, with --limit-pairs in place of the pair
-    limit when given.  Raises ValueError for a malformed or negative limit."""
-    limits = Limits.from_env()
-    if args.limit_pairs is not None:
-        limits = replace(limits, max_pairs=args.limit_pairs)
-    return limits
 
 
 def _dump(payload: dict, path: Path):
@@ -130,7 +120,7 @@ def _verify_all(args, outdir: Path | None) -> int:
     if outdir is not None:
         _dump(
             {
-                "schema": 1,
+                "schema": SCHEMA,
                 "records": rows,
                 "skipped": [{"row": r, "reason": why} for r, why in summary.skipped],
                 "mismatches": summary.mismatches,
@@ -229,21 +219,25 @@ def _cmd_groebner(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dpv", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
+    # the resource limits of verify, verify-all and groebner (see groebner.Limits)
+    limits = _Parser(add_help=False)
+    limits.add_argument("--limit-pairs", type=int, default=DEFAULT_PAIR_LIMIT, metavar="N",
+                        help="Groebner pair budget (default %(default)s)")
+    limits.add_argument("--limit-steps", type=int, metavar="N",
+                        help="work budget in ring.work_done units (default: none)")
 
-    pv = subs.add_parser("verify", help="verify one catalogued example")
+    pv = subs.add_parser("verify", parents=[limits], help="verify one catalogued example")
     pv.add_argument("record_id")
     short = {check: alias for alias, check in _CHECK_ALIASES.items()}
     pv.add_argument("--check", type=_parse_checks, help="comma-separated subset: " + ",".join(
         short.get(check, check) for check in ALL_CHECKS))
     pv.add_argument("--json", help="write the report to this file")
-    pv.add_argument("--limit-pairs", type=int, help="Groebner pair budget")
     pv.add_argument("--timings", action="store_true", help="include wall times")
     pv.set_defaults(func=_cmd_verify)
 
-    pa = subs.add_parser("verify-all", help="verify every in-scope example")
+    pa = subs.add_parser("verify-all", parents=[limits], help="verify every in-scope example")
     pa.add_argument("--p", type=int, choices=(2, 3), help="restrict to one characteristic")
     pa.add_argument("--json", help="write per-record reports into this directory")
-    pa.add_argument("--limit-pairs", type=int)
     pa.add_argument("--timings", action="store_true")
     pa.set_defaults(func=_cmd_verify_all)
 
@@ -260,11 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(lemma=lemma, params=params)
     pl.set_defaults(func=_cmd_lattice)
 
-    pg = subs.add_parser("groebner", help="reduced Groebner basis of an ideal file")
+    pg = subs.add_parser("groebner", parents=[limits], help="reduced Groebner basis of an ideal file")
     pg.add_argument("--ring", required=True, help="file whose first line declares the ring")
     pg.add_argument("--ideal", required=True, help="file with one polynomial per line")
     pg.add_argument("--order", choices=("grevlex", "lex"), default="grevlex")
-    pg.add_argument("--limit-pairs", type=int)
     pg.set_defaults(func=_cmd_groebner)
 
     return parser
@@ -274,9 +267,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if hasattr(args, "limit_pairs"):
-            # read DPV_* once, before any work, so a malformed value is rejected
-            # input rather than an error deep inside the engine
-            args.limits = _limits(args)
+            # built once, before any work, so a negative limit is rejected input
+            args.limits = Limits(args.limit_pairs, args.limit_steps)
     except (_Rejected, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -27,7 +27,6 @@ monomial, so results are canonical for a given order, whichever loop ran.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import mul, neg
@@ -37,41 +36,31 @@ from .poly import Polynomial
 # Inconclusive lives in ring, whose kernel raises it on a degree overflow or
 # past the work budget; it is re-exported here beside the limits
 from .ring import (MAX_VARS, FpDomain, Inconclusive, RingContext, check_degree, degree, divides,
-                   lcm, pack, pp_is_const, unpack, used_slots, within)
+                   lcm, pp_is_const, unpack, within)
 
 DEFAULT_PAIR_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
 class Limits:
+    # set by dpv's --limit-pairs and --limit-steps, or in code.  max_pairs
+    # counts what each pair loop pops (see the module docstring).  max_steps,
+    # None for no budget, is a work budget per basis computation and per
+    # reduce given Limits, in the term-product units of ring.work_done; every
+    # kernel charge checks it, so runaway parameter-fraction growth trips it
+    # within one charge
     max_pairs: int = DEFAULT_PAIR_LIMIT
-    # work budget per basis computation and per reduce given Limits, in the
-    # term-product units of ring.work_done; every kernel charge checks it, so
-    # runaway parameter-fraction growth trips it within one charge
     max_steps: int | None = None
 
     def __post_init__(self):
-        # the one check of every limit: in code, --limit-pairs and DPV_*
-        if self.max_pairs is None:
-            raise ValueError("pair limit must be an integer, got None")
+        # the one check of both limits: an int, not a bool, at least 0
         for what, value in (("pair limit", self.max_pairs), ("step limit", self.max_steps)):
-            if value is not None and value < 0:
+            if value is None and what == "step limit":
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{what} must be an integer, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{what} must not be negative, got {value}")
-
-    @classmethod
-    def from_env(cls) -> "Limits":
-        """Limits from DPV_PAIR_LIMIT and DPV_STEP_LIMIT; unset or empty
-        variables keep the defaults.  A value that is not an integer raises
-        ValueError naming the variable."""
-        kwargs = {}
-        for name, key in (("DPV_PAIR_LIMIT", "max_pairs"), ("DPV_STEP_LIMIT", "max_steps")):
-            raw = os.environ.get(name)
-            if raw:
-                try:
-                    kwargs[key] = int(raw)
-                except ValueError:
-                    raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-        return cls(**kwargs)
 
 
 def make_monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -192,8 +181,8 @@ def buchberger(
     limits: Limits | None = None,
 ) -> list[Polynomial]:
     """Reduced Groebner basis; [] for the zero ideal, [1] for the unit ideal.
-    limits=None means the defaults, Limits(): the engine reads no
-    environment variable (the dpv command turns DPV_* into Limits).
+    limits=None means the defaults, Limits(): this argument is the only
+    source of a limit (the dpv command builds it from its flags).
 
     The generators are pre-reduced, smallest first; one survivor is its own
     basis.  Otherwise the signature loop runs when every coefficient left is
@@ -484,17 +473,27 @@ def degree_of_basis(G: list[Polynomial], n: int, order: MonomialOrder) -> int:
     number of standard monomials."""
     if len(G) == 1 and G[0].is_constant():
         return 0
-    leads = [g.lead(order)[0] for g in G]
-    caps: dict[int, int] = {}  # slot i of a standard monomial is below caps[i]
-    for lm in leads:
-        used = used_slots([lm])
-        if len(used) == 1:  # a pure power x_i^d
-            i, d = used[0], degree(lm)
-            caps[i] = min(d, caps.get(i, d))
-    if len(caps) < n:
+    exps = [unpack(g.lead(order)[0], n) for g in G]
+    if len({i for e in exps for i in range(n) if e[i] == sum(e)}) < n:  # x_i^d for each i
         raise ValueError("ideal is not zero-dimensional")
-    monos = itertools.product(*(range(caps[i]) for i in range(n)))
-    return sum(not any(divides(lm, pack(e)) for lm in leads) for e in monos)
+    return _standard_count(exps, n)
+
+
+def _standard_count(exps: list[tuple[int, ...]], k: int) -> int:
+    """The monomials in the first k variables that no exponent vector of
+    exps divides, given a pure power of each variable among exps.  Between
+    two consecutive exponents of the last variable in exps, every slice
+    along it has the same count, so each interval costs one recursion."""
+    if k == 0:
+        return 0 if exps else 1
+    cuts = sorted({0}.union(e[k - 1] for e in exps))
+    total = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        count = _standard_count([e[:k - 1] for e in exps if e[k - 1] <= lo], k - 1)
+        if not count:  # a pure power of the last variable divides the slice
+            break
+        total += count * (hi - lo)
+    return total
 
 
 def projective_is_empty(gens: list[Polynomial], limits: Limits | None = None) -> bool:

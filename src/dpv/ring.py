@@ -256,9 +256,7 @@ def pp_scale(a: PP, c: int, p: int) -> PP:
 
 
 def pp_mul(a: PP, b: PP, p: int) -> PP:
-    """Product of parameter polynomials.  Keys come out in the order of the
-    double loop over a then b, reduced and cancelled term by term: callers'
-    work units (see _uv_content) depend on that order.
+    """Product of parameter polynomials, reduced and cancelled term by term.
 
     The product's leading monomial is the product of the leading monomials,
     so its degree is known before the loop; past MAX_DEGREE the product
@@ -390,14 +388,11 @@ def _from_univar(u: dict[int, PP], i: int) -> PP:
 
 
 def _uv_content(u: dict[int, PP], p: int) -> PP:
-    """gcd of the coefficients, stopping at the first constant gcd.  That
-    early exit makes the work units depend on the iteration order of u, and
-    so on the key order of the parameter-polynomial dicts that built it:
-    pp_mul and pp_divexact keep the insertion order of the textbook loops
-    (tests/test_ring.py holds those loops as references)."""
+    """gcd of the coefficients by ascending degree, stopping at the first
+    constant gcd: the visiting order is fixed, so the work units are too."""
     g: PP = {}
-    for coeff in u.values():
-        g = pp_gcd(g, coeff, p)
+    for d in sorted(u):
+        g = pp_gcd(g, u[d], p)
         if pp_is_const(g):
             return g
     return g

@@ -359,8 +359,8 @@ def test_regular_and_geom_normal_share_one_closure_per_chart(monkeypatch):
 
 @pytest.mark.parametrize("var, value", [("DPV_STEP_LIMIT", "abc"), ("DPV_PAIR_LIMIT", "1")])
 def test_library_calls_read_no_dpv_variable(monkeypatch, var, value):
-    # only the dpv command turns DPV_* into Limits; a library call without
-    # limits runs under the defaults, whatever the environment holds
+    # dpv reads no DPV_* variable; a library call without limits runs
+    # under the defaults, whatever the environment holds
     monkeypatch.setenv(var, value)
     report = verify_example("e1-2")
     assert [(c.name, c.status) for c in report.checks] == [

@@ -11,17 +11,9 @@ from pathlib import Path
 import pytest
 
 from dpv import cli
-from dpv.catalogue import ALL_CHECKS, RECORD_ORDER
-from dpv.cli import _limits, build_parser, main
+from dpv.catalogue import ALL_CHECKS, RECORD_ORDER, SCHEMA
+from dpv.cli import build_parser, main
 from dpv.groebner import Limits
-
-
-def test_limit_pairs_keeps_step_limit_from_env(monkeypatch):
-    monkeypatch.setenv("DPV_STEP_LIMIT", "12345")
-    args = build_parser().parse_args(["verify", "e1-2", "--limit-pairs", "7"])
-    limits = _limits(args)
-    assert limits.max_pairs == 7
-    assert limits.max_steps == 12345
 
 
 def test_check_help_names_every_check_once(monkeypatch, capsys):
@@ -106,6 +98,8 @@ def test_verify_all_json_directory(tmp_path, capsys):
     names = sorted(p.name for p in outdir.iterdir())
     assert names == ["e1-1-p3.json", "e1-3.json", "summary.json"]
     summary = json.loads((outdir / "summary.json").read_text())
+    report = json.loads((outdir / "e1-3.json").read_text())
+    assert summary["schema"] == report["schema"] == SCHEMA == 1
     assert summary["mismatches"] == 0
     assert summary["inconclusive"] == 0
     assert [r["id"] for r in summary["records"]] == ["e1-1-p3", "e1-3"]
@@ -277,39 +271,36 @@ def test_groebner_rejects_bad_input_in_one_line(tmp_path, capsys, ring_line, pol
     assert out.err == f"{paths[bad]}: {reason}\n"
 
 
-@pytest.mark.parametrize("var, value", [("DPV_STEP_LIMIT", "abc"), ("DPV_PAIR_LIMIT", "x")])
-def test_limits_from_env_names_a_malformed_variable(monkeypatch, var, value):
-    monkeypatch.setenv(var, value)
-    with pytest.raises(ValueError, match=f"^{var} must be an integer, got '{value}'$"):
-        Limits.from_env()
-
-
-@pytest.mark.parametrize("var, value, argv", [
-    ("DPV_STEP_LIMIT", "abc", ["verify", "e1-2"]),
-    ("DPV_PAIR_LIMIT", "x", ["verify-all", "--p", "3"]),
-    ("DPV_PAIR_LIMIT", "1.5", ["groebner", "--ring", "RING", "--ideal", "IDEAL"]),
+@pytest.mark.parametrize("command, value, argv", [
+    ("verify", "abc", ["verify", "e1-2", "--limit-steps", "abc"]),
+    ("verify-all", "x", ["verify-all", "--p", "3", "--limit-pairs", "x"]),
+    ("groebner", "1.5", ["groebner", "--ring", "RING", "--ideal", "IDEAL", "--limit-pairs", "1.5"]),
 ])
-def test_malformed_limit_variable_is_rejected_up_front(tmp_path, monkeypatch, capsys, var, value, argv):
+def test_malformed_limit_flag_is_rejected_up_front(tmp_path, capsys, command, value, argv):
     ring, ideal = _write_ideal(tmp_path, "ring p=3 geom x y", ["x"])
     argv = [{"RING": ring, "IDEAL": ideal}.get(a, a) for a in argv]
-    monkeypatch.setenv(var, value)
     assert main(argv) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == f"{var} must be an integer, got '{value}'\n"
+    assert out.err == f"dpv {command}: argument {argv[-2]}: invalid int value: '{value}'\n"
 
 
-def test_limits_from_env_and_limit_pairs(monkeypatch):
+def test_limit_flags_reach_limits():
     parser = build_parser()
-    monkeypatch.delenv("DPV_PAIR_LIMIT", raising=False)
-    monkeypatch.delenv("DPV_STEP_LIMIT", raising=False)
-    assert _limits(parser.parse_args(["verify", "e1-2"])) == Limits()
-    monkeypatch.setenv("DPV_PAIR_LIMIT", "40")
-    monkeypatch.setenv("DPV_STEP_LIMIT", "")
-    assert _limits(parser.parse_args(["verify-all"])) == Limits(max_pairs=40)
-    monkeypatch.setenv("DPV_STEP_LIMIT", "900")
-    args = parser.parse_args(["groebner", "--ring", "r", "--ideal", "i", "--limit-pairs", "3"])
-    assert _limits(args) == Limits(max_pairs=3, max_steps=900)
+    for argv in (["verify", "e1-2"], ["verify-all"], ["groebner", "--ring", "r", "--ideal", "i"]):
+        args = parser.parse_args(argv)
+        assert Limits(args.limit_pairs, args.limit_steps) == Limits()
+        args = parser.parse_args(argv + ["--limit-pairs", "3", "--limit-steps", "900"])
+        assert Limits(args.limit_pairs, args.limit_steps) == Limits(max_pairs=3, max_steps=900)
+
+
+def test_verify_reads_no_limit_variable(monkeypatch, capsys):
+    # limits come from the command line alone, so zero limits in DPV_*
+    # leave e1-2 passing
+    monkeypatch.setenv("DPV_STEP_LIMIT", "0")
+    monkeypatch.setenv("DPV_PAIR_LIMIT", "0")
+    assert main(["verify", "e1-2"]) == 0
+    assert "e1-2: pass" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("record_id", RECORD_ORDER)
@@ -407,16 +398,12 @@ def test_verify_all_rejects_a_json_path_that_is_a_file(tmp_path, capsys):
     assert target.read_text() == "kept\n"
 
 
-@pytest.mark.parametrize("var, value, argv, message", [
-    (None, None, ["verify", "e2-3", "--limit-pairs", "-1"], "pair limit must not be negative, got -1"),
-    ("DPV_PAIR_LIMIT", "-3", ["verify", "e2-3"], "pair limit must not be negative, got -3"),
-    ("DPV_STEP_LIMIT", "-5", ["verify-all"], "step limit must not be negative, got -5"),
-])
-def test_negative_limit_is_rejected_up_front(monkeypatch, capsys, var, value, argv, message):
-    monkeypatch.delenv("DPV_PAIR_LIMIT", raising=False)
-    monkeypatch.delenv("DPV_STEP_LIMIT", raising=False)
-    if var is not None:
-        monkeypatch.setenv(var, value)
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "e2-3", "--limit-pairs", "-1"], "pair limit must not be negative, got -1"),
+    (["verify-all", "--limit-pairs", "-3"], "pair limit must not be negative, got -3"),
+    (["verify-all", "--limit-steps", "-5"], "step limit must not be negative, got -5"),
+], ids=["verify-pairs", "verify-all-pairs", "verify-all-steps"])
+def test_negative_limit_flag_is_rejected_up_front(capsys, argv, message):
     assert main(argv) == 1
     out = capsys.readouterr()
     assert out.out == ""
@@ -430,4 +417,10 @@ def test_limits_reject_negative_values_and_keep_zero():
     # max_steps=None means no work budget, but every basis needs a pair limit
     with pytest.raises(ValueError, match="pair limit must be an integer, got None$"):
         Limits(max_pairs=None)
+    # a bool, a float or a string is refused here, not deep inside the engine
+    for bad, message in (({"max_pairs": True}, "pair limit must be an integer, got True"),
+                         ({"max_steps": 1.5}, "step limit must be an integer, got 1.5"),
+                         ({"max_pairs": "5"}, "pair limit must be an integer, got '5'")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Limits(**bad)
     Limits(max_pairs=0, max_steps=0)  # zero is a limit, tripped by any work

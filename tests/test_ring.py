@@ -180,6 +180,19 @@ def test_pp_gcd_of_a_unit_multiple_is_free(a):
         assert work_done() - before == spent
 
 
+@given(data=st.data(), p=st.sampled_from([2, 3, 5]))
+@settings(deadline=None, max_examples=150)
+def test_pp_gcd_units_ignore_insertion_order(data, p):
+    # a common factor makes the multivariate recursion run; reordering both
+    # operands' dicts changes neither the gcd nor the units it charges
+    c = data.draw(pps(p, nparams=3, maxdeg=2, maxterms=3, minterms=1))
+    a = pp_mul(data.draw(pps(p, nparams=3, maxdeg=2, maxterms=4, minterms=1)), c, p)
+    b = pp_mul(data.draw(pps(p, nparams=3, maxdeg=2, maxterms=4, minterms=1)), c, p)
+    want = _charged(pp_gcd, a, b, p)
+    shuffled = [dict(data.draw(st.permutations(list(x.items())))) for x in (a, b)]
+    assert _charged(pp_gcd, *shuffled, p) == want
+
+
 @given(a=pps(2, maxdeg=2))
 @settings(deadline=None, max_examples=100)
 def test_pp_pth_root_roundtrip(a):
