@@ -24,6 +24,7 @@ from .catalogue import ALL_CHECKS, OUT_OF_SCOPE, SCHEMA, verify_all, verify_exam
 from .groebner import DEFAULT_PAIR_LIMIT, Inconclusive, Limits, buchberger
 from .orders import grevlex, lex
 from .parsing import _integer, parse_ideal_lines, parse_ring
+from .ring import within
 
 _CHECK_ALIASES = {"normal": "geom_normal", "integral": "geom_integral"}
 
@@ -199,12 +200,13 @@ def _cmd_groebner(args) -> int:
         ring = _read_ring(args.ring)
     except (OSError, ValueError) as exc:
         return _reject(args.ring, exc)
-    try:
-        gens = parse_ideal_lines(ring, Path(args.ideal).read_text())
-    except (OSError, ValueError) as exc:
-        return _reject(args.ideal, exc)
     order = lex(ring.ngeom) if args.order == "lex" else grevlex(ring.ngeom)
     try:
+        try:
+            # the parse has its own work budget, as each basis has
+            gens = within(args.limits.max_steps, parse_ideal_lines, ring, Path(args.ideal).read_text())
+        except (OSError, ValueError) as exc:
+            return _reject(args.ideal, exc)
         basis = buchberger(gens, order, args.limits)
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)

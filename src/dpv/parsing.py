@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .poly import Polynomial
-from .ring import MAX_DEGREE, Inconclusive, RingContext
+from .ring import MAX_DEGREE, DegreeOverflow, RingContext
 
 MAX_NESTING = 100
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_']*|[0-9]+|\^|\+|\-|\*|/|\(|\))")
@@ -148,14 +148,15 @@ def _integer(word: str, what: str) -> int:
 def parse_poly(ring: RingContext, text: str) -> Polynomial:
     """The polynomial the text denotes.  Text whose degree in either sort
     of variable overflows a packed monomial (see ring.MAX_DEGREE) is
-    rejected input: ValueError, not the kernel's Inconclusive, and so is
-    text nested past MAX_NESTING parentheses (four parser frames a level)."""
+    rejected input: ValueError, not the kernel's DegreeOverflow, and so is
+    text nested past MAX_NESTING parentheses (four parser frames a level).
+    A work budget that trips while parsing raises Inconclusive."""
     toks = tokenize(text)
     if max(accumulate((t == "(") - (t == ")") for t in toks), default=0) > MAX_NESTING:
         raise ValueError(f"expression nested too deeply (at most {MAX_NESTING} levels)")
     try:
         return _ExprParser(ring, toks).parse()
-    except Inconclusive as exc:
+    except DegreeOverflow as exc:
         raise ValueError(str(exc)) from None
 
 

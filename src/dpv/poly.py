@@ -287,19 +287,21 @@ class Polynomial:
             out[sum(x[i] * u for i, u in moves)] = c
         return Polynomial(ring, out)
 
-    def dehomogenize(self, name: str) -> "Polynomial":
-        """Set a weight-1 geometric variable to 1 and drop it from the ring."""
+    def dehomogenize(self, *names: str) -> "Polynomial":
+        """Set weight-1 geometric variables to 1 and drop them from the ring."""
         ring = self.ring
-        i = ring.geom_index(name)
-        if ring.weights[i] != 1:
-            raise ValueError("dehomogenization requires a weight-1 variable")
-        new_ring = ring.without_geom_var(name)
+        for name in names:
+            w = ring.weights[ring.geom_index(name)]
+            if w != 1:
+                raise ValueError(f"dehomogenization requires weight-1 variables: {name} has weight {w}")
+        new_ring = ring.without_geom_var(*names)
+        keep = [i for i, v in enumerate(ring.geom) if v not in names]
         add, is_zero = ring.domain.add, ring.domain.is_zero
         out: dict = {}
         n = ring.ngeom
         for e, c in self.terms.items():
             x = unpack(e, n)
-            ne = pack(x[:i] + x[i + 1 :])
+            ne = pack([x[i] for i in keep])
             old = out.get(ne)
             v = c if old is None else add(old, c)
             if is_zero(v):

@@ -38,6 +38,11 @@ class Inconclusive(Exception):
     """A resource limit was hit before the computation finished."""
 
 
+class DegreeOverflow(Inconclusive):
+    """A monomial's degree passed MAX_DEGREE (see check_degree); the parser
+    rejects text that asks for one."""
+
+
 class _Work(threading.local):
     n, ceiling = 0, sys.maxsize  # class defaults: every thread starts at zero, unlimited
 
@@ -115,9 +120,9 @@ _FLOOR = -MAX_DEGREE << _DEG_SHIFT  # a key below it has degree above MAX_DEGREE
 
 
 def check_degree(key: int, sort: str):
-    """Raise Inconclusive, naming the sort, past MAX_DEGREE: key's slots would wrap."""
+    """Raise DegreeOverflow, naming the sort, past MAX_DEGREE: key's slots would wrap."""
     if key < _FLOOR:
-        raise Inconclusive(f"{sort} degree above {MAX_DEGREE}")
+        raise DegreeOverflow(f"{sort} degree above {MAX_DEGREE}")
 
 
 def pack(e) -> int:
@@ -889,12 +894,13 @@ class RingContext:
 
     # -- derived rings -------------------------------------------------------
 
-    def without_geom_var(self, name: str) -> "RingContext":
-        i = self.geom_index(name)
+    def without_geom_var(self, *names: str) -> "RingContext":
+        drop = {self.geom_index(v) for v in names}
+        keep = [i for i in range(self.ngeom) if i not in drop]
         return RingContext(
             p=self.p,
-            geom=self.geom[:i] + self.geom[i + 1 :],
-            weights=self.weights[:i] + self.weights[i + 1 :],
+            geom=tuple(self.geom[i] for i in keep),
+            weights=tuple(self.weights[i] for i in keep),
             params=self.params,
         )
 

@@ -4,9 +4,10 @@ A SurfaceModel is a surface presented inside a weighted projective or
 multiprojective ambient (hypersurfaces / complete intersections), as a double
 cover of a product of projective lines, or as the blow-up of a parent model
 at a closed point.  All verification is chart-by-chart: a Chart is an affine
-ring with equations and optional inverted elements (each inverted element u
-carries a companion variable u_inv and the relation u*u_inv - 1, so
-invertibility enters the ideal instead of being assumed).
+ring with equations and relations.  Each inverted element u carries a
+companion variable u_inv, and Chart.relations holds u*u_inv - 1, built once
+when u is inverted (Chart.with_inversion), so invertibility enters the ideal
+instead of being assumed.
 
 AmbientSpace is the one description of the ambient: its factor blocks (a
 weighted projective space is one block of all its variables, a product of
@@ -120,7 +121,7 @@ class Chart:
     name: str
     ring: RingContext
     equations: tuple[Polynomial, ...]
-    inverted: tuple[tuple[Polynomial, str], ...] = ()  # (element, inverse var)
+    relations: tuple[Polynomial, ...] = ()  # u*u_inv - 1 for each inverted u
     provenance: str = "standard"
     from_vars: tuple[str, ...] = ()  # ambient vars set to 1, when applicable
 
@@ -128,28 +129,16 @@ class Chart:
     def codim(self) -> int:
         return self.ring.ngeom - 2
 
-    def inversion_relations(self) -> tuple[Polynomial, ...]:
-        rels = []
-        for u, inv_name in self.inverted:
-            v = Polynomial.variable(self.ring, inv_name)
-            rels.append(u * v - Polynomial.one(self.ring))
-        return tuple(rels)
-
     def full_equations(self) -> tuple[Polynomial, ...]:
-        rels = self.inversion_relations()
-        out = list(self.equations)
-        for r in rels:
-            if r not in out:
-                out.append(r)
-        return tuple(out)
+        return self.equations + self.relations
 
     def with_inversion(self, u: Polynomial, base: str) -> "Chart":
         inv_name = self.ring.fresh_name(base + "_inv")
         ring2 = self.ring.with_extra_geom_vars((inv_name,))
         eqs = tuple(e.change_ring(ring2) for e in self.equations)
-        inv = tuple((g.change_ring(ring2), nm) for g, nm in self.inverted)
-        inv += ((u.change_ring(ring2), inv_name),)
-        return replace(self, ring=ring2, equations=eqs, inverted=inv)
+        rels = tuple(r.change_ring(ring2) for r in self.relations)
+        rel = u.change_ring(ring2) * Polynomial.variable(ring2, inv_name) - Polynomial.one(ring2)
+        return replace(self, ring=ring2, equations=eqs, relations=rels + (rel,))
 
 
 @dataclass
@@ -194,16 +183,11 @@ def _standard_charts(ambient: AmbientSpace, equations) -> tuple[Chart, ...]:
     blocks = [[v for v in b if weight[v] == 1] for b in ambient.factor_blocks()]
     out = []
     for combo in itertools.product(*blocks):
-        eqs = tuple(equations)
-        cring = ambient.ring
-        for name in combo:
-            eqs = tuple(f.dehomogenize(name) for f in eqs)
-            cring = cring.without_geom_var(name)
         out.append(
             Chart(
                 name="&".join(f"D+({v})" for v in combo),
-                ring=cring,
-                equations=eqs,
+                ring=ambient.ring.without_geom_var(*combo),
+                equations=tuple(f.dehomogenize(*combo) for f in equations),
                 provenance="standard",
                 from_vars=combo,
             )
@@ -274,7 +258,7 @@ def _blowup_chart(c: Chart, gnum: Polynomial, gden: Polynomial, varbase: str, li
     eliminable = (
         bare is not None
         and bare not in gden.support()
-        and all(bare not in g.support() for g, _ in c.inverted)
+        and all(bare not in r.support() for r in c.relations)
     )
     if eliminable:
         # gnum is a coordinate; rewrite it as t*gden and drop the variable
@@ -290,12 +274,11 @@ def _blowup_chart(c: Chart, gnum: Polynomial, gden: Polynomial, varbase: str, li
         work_eqs = [e.change_ring(ring1) for e in c.equations]
         work_eqs.append(gnum.change_ring(ring1) - t * exceptional)
     sat = saturate(work_eqs, exceptional, limits) if work_eqs else []
-    inv = tuple((g.change_ring(work_ring), nm) for g, nm in c.inverted)
     return Chart(
         name=f"{c.name}|{varbase}",
         ring=work_ring,
         equations=tuple(sat),
-        inverted=inv,
+        relations=tuple(r.change_ring(work_ring) for r in c.relations),
         provenance="blowup",
     )
 
@@ -311,9 +294,10 @@ def blow_up(
     """Blow up a parent model at a closed point given by two center
     generators on one chart.  The center chart is replaced by the two
     standard blow-up charts; the other parent charts are retained."""
-    if chart_name not in {c.name for c in parent.charts}:
-        raise ValueError(f"blowup chart {chart_name!r} is not a chart of the model")
-    c0 = parent.chart(chart_name)
+    try:
+        c0 = parent.chart(chart_name)
+    except KeyError:
+        raise ValueError(f"blowup chart {chart_name!r} is not a chart of the model") from None
     h = parse_poly(c0.ring, localize) if localize else None
     if h is not None:
         c0 = c0.with_inversion(h, "h")
@@ -477,12 +461,7 @@ def nonsmooth_ideal(chart: Chart, include_params: bool = False) -> list[Polynomi
     uncleared equations instead, because its report prints the witness
     minor and its index."""
     eqs = tuple(f.clear_denominators() for f in chart.full_equations())
-    minors = jacobian_minors(eqs, chart.ring, chart.codim, include_params)
-    gens = list(eqs)
-    for m in minors:
-        if m not in gens:
-            gens.append(m)
-    return gens
+    return list(eqs) + jacobian_minors(eqs, chart.ring, chart.codim, include_params)
 
 
 def pth_root_closure(gens: list[Polynomial], limits: Limits | None = None) -> list[Polynomial]:
@@ -601,9 +580,7 @@ def _nonzero_on_a_fibre(m: Polynomial, eqs, limits: Limits | None) -> bool:
     used = m.support()
     if not 1 <= len(used) <= 2:
         return False
-    fibre_ring = ring
-    for v in used:
-        fibre_ring = fibre_ring.without_geom_var(v)
+    fibre_ring = ring.without_geom_var(*used)
     for a in itertools.product(range(ring.p), repeat=len(used)):
         point = dict(zip(used, a))
         if m.substitute(point, fibre_ring).is_zero():
@@ -652,10 +629,7 @@ def restrict_to_chart(f: Polynomial, chart: Chart) -> Polynomial:
     """Restriction of an ambient polynomial to a standard chart."""
     if not chart.from_vars:
         raise ValueError(f"chart {chart.name!r} has no ambient dehomogenization data")
-    g = f
-    for v in chart.from_vars:
-        g = g.dehomogenize(v)
-    return g.change_ring(chart.ring)
+    return f.dehomogenize(*chart.from_vars).change_ring(chart.ring)
 
 
 def subschemes_disjoint(

@@ -335,7 +335,8 @@ def test_verify_all_work_stays_below_bound():
     # stopping Polynomial.__pow__ at the exponent's top bit to 18,630,
     # and reducing by monic divisors with no division by their leading
     # coefficients to 16,977, and letting pp_gcd return at once for a
-    # constant multiple of its first operand to 16,957
+    # constant multiple of its first operand to 16,957, and building each
+    # chart's inversion relations once to 16,933
     before = work_done()
     summary = verify_all()
     assert summary.exit_code == 0

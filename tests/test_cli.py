@@ -13,7 +13,10 @@ import pytest
 from dpv import cli
 from dpv.catalogue import ALL_CHECKS, RECORD_ORDER, SCHEMA
 from dpv.cli import build_parser, main
-from dpv.groebner import Limits
+from dpv.groebner import Limits, buchberger
+from dpv.orders import grevlex
+from dpv.parsing import parse_ideal_lines, parse_ring
+from dpv.ring import work_done
 
 
 def test_check_help_names_every_check_once(monkeypatch, capsys):
@@ -192,6 +195,35 @@ def test_groebner_geometric_degree_overflow_is_inconclusive(tmp_path, capsys):
     assert (out.out, out.err) == ("", "inconclusive: geometric degree above 32767\n")
     # under grevlex y^20000 leads, and the basis needs no larger degree
     assert main(["groebner", "--ring", ring, "--ideal", ideal]) == 0
+
+
+def test_groebner_parses_its_ideal_under_the_work_budget(tmp_path, capsys):
+    # 1,500,625 terms: the parse trips the budget at once, exit 2
+    ring, ideal = _write_ideal(tmp_path, "ring p=5 geom x y z", ["(x+y+z+1)^624"])
+    assert main(["groebner", "--ring", ring, "--ideal", ideal, "--limit-steps", "1000"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "inconclusive: work budget exceeded\n")
+    # a degree overflow under a budget stays rejected input, exit 1
+    ring, ideal = _write_ideal(tmp_path, "ring p=3 geom x y", ["x^20000*y^20000"])
+    assert main(["groebner", "--ring", ring, "--ideal", ideal, "--limit-steps", "1000"]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"{ideal}: geometric degree above 32767\n")
+
+
+def test_groebner_parse_and_basis_each_get_the_budget(tmp_path, capsys):
+    ring, ideal = _write_ideal(tmp_path, "ring p=7 geom x y z", F7_IDEAL)
+    r = parse_ring("ring p=7 geom x y z")
+    before = work_done()
+    gens = parse_ideal_lines(r, Path(ideal).read_text())
+    parse = work_done() - before
+    buchberger(gens, grevlex(3))
+    basis = work_done() - before - parse
+    assert parse > 0  # so one budget shared by parse and basis would trip
+    argv = ["groebner", "--ring", ring, "--ideal", ideal, "--limit-steps"]
+    assert main(argv + [str(basis)]) == 0
+    assert capsys.readouterr().out == F7_GREVLEX
+    assert main(argv + [str(basis - 1)]) == 2
+    assert capsys.readouterr().err == "inconclusive: work budget exceeded\n"
 
 
 def test_groebner_missing_ring(tmp_path, capsys):

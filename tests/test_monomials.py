@@ -127,6 +127,18 @@ def test_ring_changes_follow_the_exponent_tuples(p, params, seed):
     assert tuples(got) == {e[:1] + e[2:]: c for e, c in want.items()}
 
 
+@pytest.mark.parametrize("p, params", [(2, ()), (3, ("s",))])
+@given(seed=st.integers(0, 2**30))
+@settings(deadline=None, max_examples=60)
+def test_dropping_two_variables_at_once_drops_them_in_turn(p, params, seed):
+    rng = random.Random(seed)
+    ring = RingContext(p, NAMES, (1, 1, 1, 1), params)
+    f = random_poly(ring, rng, 6, 4)
+    a, b = rng.sample(NAMES, 2)
+    assert ring.without_geom_var(a, b) == ring.without_geom_var(a).without_geom_var(b)
+    assert f.dehomogenize(a, b) == f.dehomogenize(a).dehomogenize(b)
+
+
 # -- the limits of the layout ---------------------------------------------------
 
 

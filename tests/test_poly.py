@@ -140,8 +140,10 @@ def test_dehomogenize():
     g = f.dehomogenize("y")
     assert tuple(g.ring.geom) == ("x", "z")
     assert g == parse_poly(g.ring, "x^2+s*z^3")
-    with pytest.raises(ValueError):
-        parse_poly(RING2, "y").dehomogenize("y")  # weight 2
+    assert f.dehomogenize("x", "y") == parse_poly(ring.without_geom_var("x", "y"), "1+s*z^3")
+    # the error names the variable whose weight is not 1
+    with pytest.raises(ValueError, match="y has weight 2"):
+        parse_poly(RING2, "y").dehomogenize("x", "y")
 
 
 def test_total_degree_and_str_roundtrip():

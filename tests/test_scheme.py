@@ -102,12 +102,16 @@ def test_chart_inversion_bookkeeping():
     c = m.chart("D+(y)")
     c2 = c.with_inversion(parse_poly(c.ring, "z"), "h")
     assert c2.ring.geom[-1] == "h_inv"
-    rels = c2.inversion_relations()
-    assert len(rels) == 1
-    assert str(rels[0]) in ("z*h_inv + 1", "h_inv*z + 1")  # char 2: -1 = 1
-    # one more variable; the inversion relation is counted by full_equations
+    assert c.relations == ()
+    (rel,) = c2.relations
+    assert rel == parse_poly(c2.ring, "z*h_inv + 1")  # char 2: -1 = 1
+    # one more variable; the inversion relation follows the equations
     assert c2.codim == c.codim + 1
-    assert len(c2.full_equations()) == len(c.full_equations()) + 1
+    assert c2.full_equations() == c2.equations + (rel,)
+    # a second inversion carries the first relation into its ring
+    c3 = c2.with_inversion(parse_poly(c2.ring, "x"), "h")
+    assert c3.ring.geom[-2:] == ("h_inv", "h_inv_")
+    assert c3.relations == (rel.change_ring(c3.ring), parse_poly(c3.ring, "x*h_inv_ + 1"))
 
 
 def test_jacobian_minors_signs():
@@ -830,9 +834,23 @@ def test_extra_chart_inverts_non_identifier_texts():
     c = m.chart("U")
     assert c.provenance == "extra"
     assert c.ring.geom == ("u", "v", "q_inv", "q_inv_")
-    assert [(str(g), name) for g, name in c.inverted] == [("u + 1", "q_inv"), ("v + 1", "q_inv_")]
+    assert c.relations == (parse_poly(c.ring, "(u+1)*q_inv - 1"), parse_poly(c.ring, "(v+1)*q_inv_ - 1"))
     assert c.codim == 2
     assert len(c.full_equations()) == 3
+
+
+@pytest.mark.parametrize("record_id", RECORD_ORDER)
+def test_no_chart_repeats_a_polynomial_in_its_ideal(record_id):
+    # full_equations and nonsmooth_ideal concatenate with no dedupe: no
+    # equation, inversion relation or Jacobian minor of a catalogue chart
+    # equals another
+    _, model = load_example(record_id)
+    for c in model.charts:
+        eqs = c.full_equations()
+        assert len(set(eqs)) == len(eqs), c.name
+        for include_params in (False, True):
+            gens = nonsmooth_ideal(c, include_params)
+            assert len(set(gens)) == len(gens), c.name
 
 
 def test_chart_singular_data_certificate_reduces():
